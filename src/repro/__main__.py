@@ -20,6 +20,8 @@ import sys
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.lang.backing import DEFAULT_FSYNC
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -85,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fsync",
-        default="batch(64, 100)",
+        default=DEFAULT_FSYNC,
         help="WAL fsync policy: always | never | batch(N, ms)",
     )
     serve.add_argument(

@@ -92,6 +92,9 @@ class Cluster:
     cluster after a process kill instead of demanding empty stores.
     """
 
+    #: Reads scatter-gather through :meth:`evaluate`.
+    compiled_reads = False
+
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
@@ -406,6 +409,11 @@ class Cluster:
         """``FINDSTATE`` at a global transaction number — answered from
         coordinator metadata plus the owning primary."""
         return self._sharded.state_at(identifier, txn)
+
+    @property
+    def database(self) -> Database:
+        """The global value, assembled on demand by :meth:`as_database`."""
+        return self.as_database()
 
     def as_database(self) -> Database:
         """The global database value (the differential oracle's

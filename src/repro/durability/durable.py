@@ -55,6 +55,9 @@ class DurableDatabase:
     passes a :class:`~repro.durability.faults.MemoryStore`.
     """
 
+    #: Sessions run compiled plans straight against :attr:`database`.
+    compiled_reads = True
+
     def __init__(
         self,
         store: "Union[str, os.PathLike[str], FileStore]",
@@ -183,6 +186,10 @@ class DurableDatabase:
     def sync(self) -> None:
         """Force-fsync the log regardless of policy."""
         self._wal.sync()
+
+    def catch_up(self) -> int:
+        """A primary follows no stream: nothing to apply."""
+        return 0
 
     def checkpoint(self) -> None:
         """Sync the log, publish a checkpoint, drop superseded

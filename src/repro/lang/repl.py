@@ -247,12 +247,10 @@ class Repl:
         try:
             with open(path) as fp:
                 database = loads(fp.read())
+            self.session._install(database)
         except (OSError, ReproError, ValueError) as error:
             self._print(f"error: {error}")
             return True
-        # replace the session's database wholesale
-        self.session._database = database
-        self.session._history.append(database)
         self._print(
             f"loaded {path} (txn {database.transaction_number})"
         )

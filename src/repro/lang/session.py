@@ -27,15 +27,22 @@ dictionary may have shifted); in the steady read-heavy state every
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from typing import Iterable, Optional, Union as TypingUnion
 
 from repro.core.commands import Command
 from repro.core.compile import CompiledPlan, compile_expression
-from repro.core.database import EMPTY_DATABASE, Database
+from repro.core.database import Database
 from repro.core.expressions import Expression, Rollback
 from repro.core.txn import NOW
 from repro.historical.state import HistoricalState
+from repro.lang.backing import (
+    DEFAULT_CHECKPOINT_EVERY,
+    DEFAULT_FSYNC,
+    Backing,
+    MemoryBacking,
+)
 from repro.lang.parser import parse_command, parse_expression, parse_sentence
 from repro.obsv import registry as _obsv
 from repro.optimizer.cost import explain as explain_plan
@@ -68,6 +75,10 @@ class Session:
     replaces :attr:`database` with the new database value the command
     semantics denotes.  All past database values remain valid (and the
     session keeps the trail in :attr:`history` for inspection).
+
+    The current value lives in one place, the session's *backing* (see
+    :mod:`repro.lang.backing`).  A transaction manager, once the session
+    has one, sits above it and is the value's one writer.
     """
 
     #: Default bound on the retained database-value trail.  Database
@@ -83,8 +94,8 @@ class Session:
         self,
         durable_dir: "str | None" = None,
         *,
-        fsync: str = "batch(64, 100)",
-        checkpoint_every: int = 256,
+        fsync: str = DEFAULT_FSYNC,
+        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         history_limit: "int | None" = DEFAULT_HISTORY_LIMIT,
         plan_cache_capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
         optimize: bool = True,
@@ -157,59 +168,52 @@ class Session:
                 "them with cluster=ClusterConfig(shards=N, "
                 "replicas_per_shard=K)"
             )
-        self._durable = None
-        self._replica = None
-        self._sharded = None
-        self._cluster = None
+        self._backing: Backing
         if cluster is not None:
             from repro.cluster import Cluster, ClusterConfig
 
-            if isinstance(cluster, Cluster):
-                self._cluster = cluster
-            elif isinstance(cluster, ClusterConfig):
-                self._cluster = Cluster(cluster)
-            else:
+            if isinstance(cluster, ClusterConfig):
+                cluster = Cluster(cluster)
+            elif not isinstance(cluster, Cluster):
                 raise ValueError(
                     "cluster= must be a ClusterConfig (the usual form) "
                     f"or a prebuilt Cluster, got "
                     f"{type(cluster).__name__}"
                 )
-            self._database: Database = EMPTY_DATABASE
+            self._backing = cluster
         elif shards is not None:
             from repro.sharding import ShardedDatabase
 
-            self._sharded = ShardedDatabase(
+            self._backing = ShardedDatabase(
                 shards,
                 directory=durable_dir,
                 partitioner=partitioner,
                 fsync=fsync,
                 checkpoint_every=checkpoint_every,
             )
-            self._database: Database = EMPTY_DATABASE
         elif replica_of is not None:
-            self._replica = self._build_replica(
+            self._backing = self._build_replica(
                 replica_of, retry=retry, max_lag=max_lag, on_stale=on_stale
             )
-            self._replica.catch_up()
-            self._database: Database = self._replica.database
+            self._backing.catch_up()
         elif durable_dir is not None:
             from repro.durability import DurableDatabase
 
-            self._durable = DurableDatabase(
+            self._backing = DurableDatabase(
                 durable_dir,
                 fsync=fsync,
                 checkpoint_every=checkpoint_every,
             )
-            self._database = self._durable.database
         else:
-            self._database = EMPTY_DATABASE
+            self._backing = MemoryBacking()
         self._isolation = isolation
         self._manager = None
         if isolation != "serial":
-            from repro.concurrency.mvcc import MVCCManager
-
-            self._manager = MVCCManager(self._database, isolation)
-        self._history: list[Database] = [self._database]
+            self._manager = self._new_manager(self._backing.database)
+        # sharded and cluster backings assemble the global value on
+        # demand, so their sessions keep no trail
+        coordinated = shards is not None or cluster is not None
+        self._history = None if coordinated else [self._backing.database]
         self._history_limit = history_limit
         self._plan_cache: "OrderedDict[str, _CachedPlan]" = OrderedDict()
         self._plan_cache_capacity = plan_cache_capacity
@@ -249,12 +253,26 @@ class Session:
             kwargs["retry"] = retry
         return Replica(source, **kwargs)
 
-    @property
-    def _coordinator(self):
-        """The sharded or cluster coordinator, when this session has
-        one — the two expose the same execute/evaluate/as_database
-        surface, so dispatch treats them uniformly."""
-        return self._cluster if self._cluster is not None else self._sharded
+    def _view(self) -> "Session":
+        """A reader over this session's backing with its own plan cache
+        (one per server connection).  It sees every commit at once and
+        must never write."""
+        view = Session(
+            plan_cache_capacity=self._plan_cache_capacity,
+            optimize=self._optimize,
+        )
+        view._backing = self._backing
+        return view
+
+    def _backing_if(self, module: str, name: str):
+        """The backing when it is a ``module.name``, else None.  The
+        class is looked up in ``sys.modules`` so that asking never
+        imports a subsystem the session does not use: a class whose
+        module was never imported has no instances."""
+        kind = getattr(sys.modules.get(module), name, None)
+        if kind is not None and isinstance(self._backing, kind):
+            return self._backing
+        return None
 
     @property
     def database(self) -> Database:
@@ -264,12 +282,7 @@ class Session:
         the shard set on each access (an O(identifiers) walk, not a
         hot-path cost); reads and writes themselves never materialize
         it."""
-        coordinator = self._coordinator
-        if coordinator is not None:
-            self._database = coordinator.as_database()
-        elif self._replica is not None:
-            self._database = self._replica.database
-        return self._database
+        return self._backing.database
 
     @property
     def history(self) -> tuple[Database, ...]:
@@ -280,7 +293,7 @@ class Session:
         value, the pre-bound behaviour).  Sharded and cluster sessions
         do not retain a trail (the global value is assembled on
         demand): the tuple holds just the current database."""
-        if self._coordinator is not None:
+        if self._history is None:
             return (self.database,)
         return tuple(self._history)
 
@@ -292,10 +305,7 @@ class Session:
     @property
     def transaction_number(self) -> int:
         """The current database's transaction number."""
-        coordinator = self._coordinator
-        if coordinator is not None:
-            return coordinator.transaction_number
-        return self.database.transaction_number
+        return self._backing.transaction_number
 
     # -- execution -----------------------------------------------------------
 
@@ -333,42 +343,52 @@ class Session:
                     self._apply(command)
             else:
                 self._apply(item)
-        if self._durable is not None:
-            self._durable.sync()
-        if self._coordinator is not None:
-            self._coordinator.sync()
+        self._backing.sync()
         return self.database
 
-    def _apply(self, command: Command) -> "Database | None":
-        if self._replica is not None:
-            from repro.errors import ReplicationError
-
-            raise ReplicationError(
-                "this session is a read-only replica "
-                "(replica_of=...): commands belong on the primary; "
-                "promote() turns it into a writable primary"
-            )
+    def _apply(self, command: Command) -> None:
         if _obsv.enabled():
             _obsv.get().counter("lang.statements_executed").inc()
-        if self._coordinator is not None:
-            # the coordinator owns the authoritative state; the global
-            # Database value is assembled on demand, never per command
-            self._coordinator.execute(command)
-            return None
-        if self._durable is not None:
-            self._record_history(self._durable.execute(command))
-        elif self._manager is not None:
+        if self._manager is not None:
             # once the session has a transaction manager (always, for
             # si/ssi; after the first begin()/run(), for serial), direct
-            # executes autocommit through it so scripted and
-            # transactional writes share one commit path and one
-            # authoritative database value
-            self._record_history(
-                self._manager.run(lambda txn: txn.stage(command))
-            )
-        else:
-            self._record_history(command.execute(self._database))
-        return self._database
+            # executes autocommit through it: one commit path
+            self._commit(self._manager.run(lambda txn: txn.stage(command)))
+            return
+        result = self._backing.execute(command)
+        if self._history is not None:
+            self._record_history(result)
+
+    def _execute_sentence(self, commands: "list[Command]") -> int:
+        """Execute a parsed sentence, returning the new transaction
+        number: one manager transaction on the plain backing (so no
+        partial effect), command by command on the others."""
+        if not isinstance(self._backing, MemoryBacking):
+            for command in commands:
+                self._apply(command)
+            return self.transaction_number
+
+        def body(txn) -> None:
+            for command in commands:
+                txn.stage(command)
+
+        return self.run(body).transaction_number
+
+    def _install(self, database: Database) -> None:
+        """Replace the plain backing's value wholesale (the REPL's
+        ``.load``); a transaction manager restarts from the new value."""
+        if not isinstance(self._backing, MemoryBacking):
+            from repro.errors import ReproError
+
+            raise ReproError("only in-memory sessions can load a database")
+        if self._manager is not None:
+            self._manager = self._new_manager(database)
+        self._commit(database)
+
+    def _commit(self, database: Database) -> None:
+        """Make a value the manager produced (or a loaded one) current."""
+        self._backing.database = database
+        self._record_history(database)
 
     # -- transactions --------------------------------------------------------
 
@@ -379,6 +399,15 @@ class Session:
         with first-committer-wins) or ``ssi`` (serializable snapshot
         isolation)."""
         return self._isolation
+
+    def _new_manager(self, database: Database):
+        if self._isolation == "serial":
+            from repro.concurrency.manager import TransactionManager
+
+            return TransactionManager(database)
+        from repro.concurrency.mvcc import MVCCManager
+
+        return MVCCManager(database, self._isolation)
 
     @property
     def transaction_manager(self):
@@ -391,11 +420,7 @@ class Session:
         serialized commit path): raises :class:`ConcurrencyError`.
         """
         if self._manager is None:
-            if (
-                self._durable is not None
-                or self._replica is not None
-                or self._coordinator is not None
-            ):
+            if not isinstance(self._backing, MemoryBacking):
                 from repro.errors import ConcurrencyError
 
                 raise ConcurrencyError(
@@ -404,9 +429,7 @@ class Session:
                     "client-visible transaction manager; use a plain "
                     "Session(isolation=...) for explicit transactions"
                 )
-            from repro.concurrency.manager import TransactionManager
-
-            self._manager = TransactionManager(self._database)
+            self._manager = self._new_manager(self._backing.database)
         return self._manager
 
     def begin(self):
@@ -420,7 +443,7 @@ class Session:
         :class:`~repro.errors.ConcurrencyError` (and aborts the
         transaction) when conflict detection rejects it."""
         database = self.transaction_manager.commit(transaction)
-        self._record_history(database)
+        self._commit(database)
         return database
 
     def abort(self, transaction) -> None:
@@ -431,7 +454,7 @@ class Session:
         """Run ``body(transaction)`` under the session's isolation
         level, retrying on conflict up to ``retries`` times."""
         database = self.transaction_manager.run(body, retries)
-        self._record_history(database)
+        self._commit(database)
         return database
 
     # -- durability ----------------------------------------------------------
@@ -440,25 +463,17 @@ class Session:
     def durable(self):
         """The session's :class:`~repro.durability.DurableDatabase`,
         or None for a purely in-memory session."""
-        return self._durable
+        return self._backing_if("repro.durability.durable", "DurableDatabase")
 
     def checkpoint(self) -> None:
         """Force a checkpoint + log compaction (durable, sharded and
         cluster sessions checkpoint every shard)."""
-        if self._durable is not None:
-            self._durable.checkpoint()
-        if self._coordinator is not None:
-            self._coordinator.checkpoint()
+        self._backing.checkpoint()
 
     def close(self) -> None:
         """Flush the command log and release file handles.  In-memory
         sessions: a no-op."""
-        if self._replica is not None:
-            self._replica.close()
-        if self._durable is not None:
-            self._durable.close()
-        if self._coordinator is not None:
-            self._coordinator.close()
+        self._backing.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -472,32 +487,29 @@ class Session:
     def sharded(self):
         """The session's :class:`~repro.sharding.ShardedDatabase`, or
         None for unsharded sessions."""
-        return self._sharded
+        return self._backing_if("repro.sharding.sharded", "ShardedDatabase")
+
+    def _require_sharded(self, operation: str):
+        backing = self.cluster or self.sharded
+        if backing is None:
+            from repro.errors import ShardingError
+
+            raise ShardingError(
+                f"{operation}(): this session is not sharded (shards=N "
+                "or cluster=ClusterConfig(...))"
+            )
+        return backing
 
     def rebalance(self, partitioner=None):
         """Sharded/cluster sessions: move identifiers to their
         partitioner-preferred shards; returns the
         :class:`~repro.sharding.RebalanceReport`."""
-        if self._coordinator is None:
-            from repro.errors import ShardingError
-
-            raise ShardingError(
-                "rebalance(): this session is not sharded (shards=N "
-                "or cluster=ClusterConfig(...))"
-            )
-        return self._coordinator.rebalance(partitioner)
+        return self._require_sharded("rebalance").rebalance(partitioner)
 
     def add_shard(self) -> int:
         """Sharded/cluster sessions: open one more shard and return its
         index."""
-        if self._coordinator is None:
-            from repro.errors import ShardingError
-
-            raise ShardingError(
-                "add_shard(): this session is not sharded (shards=N "
-                "or cluster=ClusterConfig(...))"
-            )
-        return self._coordinator.add_shard()
+        return self._require_sharded("add_shard").add_shard()
 
     # -- clustering ----------------------------------------------------------
 
@@ -505,32 +517,29 @@ class Session:
     def cluster(self):
         """The session's :class:`~repro.cluster.Cluster`, or None for
         non-cluster sessions."""
-        return self._cluster
+        return self._backing_if("repro.cluster.cluster", "Cluster")
+
+    def _require_cluster(self, operation: str):
+        cluster = self.cluster
+        if cluster is None:
+            from repro.errors import ClusterError
+
+            raise ClusterError(
+                f"{operation}(): this session is not clustered "
+                "(cluster=ClusterConfig(...))"
+            )
+        return cluster
 
     def failover(self, shard: int, replica_index=None) -> None:
         """Cluster sessions: promote one of shard ``shard``'s replicas
         to be that shard's primary (see
         :meth:`repro.cluster.Cluster.failover`)."""
-        if self._cluster is None:
-            from repro.errors import ClusterError
-
-            raise ClusterError(
-                "failover(): this session is not clustered "
-                "(cluster=ClusterConfig(...))"
-            )
-        self._cluster.failover(shard, replica_index)
+        self._require_cluster("failover").failover(shard, replica_index)
 
     def add_replica(self, shard: int):
         """Cluster sessions: attach one more replica to shard
         ``shard``'s stream and return it."""
-        if self._cluster is None:
-            from repro.errors import ClusterError
-
-            raise ClusterError(
-                "add_replica(): this session is not clustered "
-                "(cluster=ClusterConfig(...))"
-            )
-        return self._cluster.add_replica(shard)
+        return self._require_cluster("add_replica").add_replica(shard)
 
     # -- replication ---------------------------------------------------------
 
@@ -538,45 +547,40 @@ class Session:
     def replica(self):
         """The session's :class:`~repro.replication.Replica`, or None
         for primary/in-memory sessions."""
-        return self._replica
+        return self._backing_if("repro.replication.replica", "Replica")
 
     def catch_up(self) -> int:
         """Replica sessions: apply shipped records up to the primary's
         published tail, returning how many were applied.  Cluster
         sessions: drive every replica in the topology to its primary's
         tail.  Primary and in-memory sessions: a no-op returning 0."""
-        if self._cluster is not None:
-            return self._cluster.catch_up()
-        if self._replica is None:
-            return 0
-        applied = self._replica.catch_up()
-        if applied:
-            self._record_history(self._replica.database)
+        applied = self._backing.catch_up()
+        if applied and self._history is not None:
+            self._record_history(self._backing.database)
         return applied
 
     def lag(self) -> int:
         """How many shipped records behind the primary this replica
         session is (0 for primary/in-memory sessions)."""
-        return 0 if self._replica is None else self._replica.lag()
+        replica = self.replica
+        return 0 if replica is None else replica.lag()
 
     def promote(self) -> Database:
         """Fail over: turn a replica session into a writable primary
         anchored at its last applied record.  Returns the database the
         new primary starts from."""
-        if self._replica is None:
+        replica = self.replica
+        if replica is None:
             from repro.errors import ReplicationError
 
             raise ReplicationError(
                 "promote(): this session is not a replica"
             )
-        self._durable = self._replica.promote()
-        self._replica = None
-        self._database = self._durable.database
-        self._record_history(self._database)
-        return self._database
+        self._backing = replica.promote()
+        self._record_history(self._backing.database)
+        return self._backing.database
 
     def _record_history(self, database: Database) -> None:
-        self._database = database
         self._history.append(database)
         limit = self._history_limit
         if limit is not None and len(self._history) > limit:
@@ -600,35 +604,23 @@ class Session:
             _obsv.get().counter("lang.queries").inc()
         if isinstance(source, str):
             return self._evaluate_plan(self._cached_expression(source))
-        return self._evaluate(source)
-
-    def _evaluate(self, expression: Expression) -> State:
-        """Evaluate a side-effect-free expression; replica sessions
-        route through the replica so its staleness bound applies,
-        sharded/cluster sessions through their scatter-gather routers
-        (cluster reads land on replicas)."""
-        coordinator = self._coordinator
-        if coordinator is not None:
-            return coordinator.evaluate(expression)
-        if self._replica is not None:
-            return self._replica.evaluate(expression)
-        return expression.evaluate(self._database)
+        return self._backing.evaluate(source)
 
     def _evaluate_plan(self, plan: _CachedPlan) -> State:
         """Evaluate a cached plan, (re)optimizing and (re)compiling if
         the database has moved since it was last planned."""
         expression = self._planned_expression(plan)
-        if self._coordinator is not None or self._replica is not None:
-            # these modes evaluate through their own routers (scatter-
-            # gather, staleness bounds); they reuse the optimized tree
-            # but not the compiled single-database plan
-            return self._evaluate(expression)
+        backing = self._backing
+        if not backing.compiled_reads:
+            # these backings evaluate through their own routers; they
+            # reuse the optimized tree but not the compiled plan
+            return backing.evaluate(expression)
         if (
             plan.compiled is None
             or plan.compiled.expression is not expression
         ):
             plan.compiled = compile_expression(expression)
-        return plan.compiled(self._database)
+        return plan.compiled(backing.database)
 
     def _planned_expression(self, plan: _CachedPlan) -> Expression:
         """The plan's optimized tree for the current transaction number.
@@ -695,10 +687,9 @@ class Session:
     def statistics(self) -> Statistics:
         """Per-relation cardinality and version statistics collected
         from whatever is serving this session's reads."""
-        if self._durable is not None:
-            versioned = getattr(self._durable, "versioned", None)
-            if versioned is not None:
-                return collect_statistics(versioned)
+        versioned = getattr(self._backing, "versioned", None)
+        if versioned is not None:
+            return collect_statistics(versioned)
         return collect_statistics(self.database)
 
     def explain(self, source: TypingUnion[str, Expression]) -> str:
@@ -738,7 +729,7 @@ class Session:
 
     def current_state(self, identifier: str) -> State:
         """The named relation's most recent state, via ``ρ(I, now)``."""
-        return self._evaluate(Rollback(identifier, NOW))
+        return self._backing.evaluate(Rollback(identifier, NOW))
 
     # -- Quel integration ---------------------------------------------------------
 
@@ -792,7 +783,7 @@ class Session:
             expression = QuelTranslator(catalog).translate_retrieve(
                 statement
             )
-            return self._evaluate(expression)
+            return self._backing.evaluate(expression)
 
         # dispatch updates on the target relation's kind
         relation = self.database.lookup(statement.relation)
@@ -821,7 +812,7 @@ class Session:
         as an aligned text table."""
         from repro.core.expressions import is_empty_set
 
-        state = self._evaluate(Rollback(identifier, numeral))
+        state = self._backing.evaluate(Rollback(identifier, numeral))
         if is_empty_set(state):
             return f"{identifier}\n(no recorded state)"
         return format_state(state, title=identifier)

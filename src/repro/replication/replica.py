@@ -51,6 +51,7 @@ from repro.errors import (
     StorageError,
     StreamGapError,
 )
+from repro.core.commands import Command
 from repro.core.database import Database
 from repro.core.expressions import Expression
 from repro.core.txn import TransactionNumber
@@ -79,6 +80,9 @@ class Replica:
     over a store that already holds a partial copy resumes from its
     durable prefix — a crashed replica simply re-fetches what it lost.
     """
+
+    #: Reads go through :meth:`evaluate` so the staleness bound applies.
+    compiled_reads = False
 
     def __init__(
         self,
@@ -338,6 +342,14 @@ class Replica:
         self._resnapshot()
         self._diverged = False
 
+    def execute(self, command: Command) -> Database:
+        """Refuse: a replica applies only what its primary ships."""
+        raise ReplicationError(
+            "this is a read-only replica (replica_of=...): commands "
+            "belong on the primary; promote() turns it into a writable "
+            "primary"
+        )
+
     # -- read path ---------------------------------------------------------
 
     def evaluate(self, expression: Expression):
@@ -384,6 +396,14 @@ class Replica:
                 "be rebuilt"
             )
         self._stream = stream
+
+    def sync(self) -> None:
+        """Force-fsync the replica's own log."""
+        self._durable.sync()
+
+    def checkpoint(self) -> None:
+        """Checkpoint the replica's own log."""
+        self._durable.checkpoint()
 
     def close(self) -> None:
         self._durable.close()

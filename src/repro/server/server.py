@@ -42,6 +42,7 @@ from repro.errors import (
     ReproError,
     ServerError,
 )
+from repro.lang.backing import DEFAULT_CHECKPOINT_EVERY, DEFAULT_FSYNC
 from repro.obsv import registry as _obsv
 from repro.server import protocol
 from repro.server.admission import AdmissionController
@@ -74,8 +75,8 @@ class ServerConfig:
     drain_timeout: float = 5.0
     # -- backing (all five Session modes compose here) ----------------
     durable_dir: Optional[str] = None
-    fsync: str = "batch(64, 100)"
-    checkpoint_every: int = 256
+    fsync: str = DEFAULT_FSYNC
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     shards: Optional[int] = None
     replica_of: Optional[str] = field(default=None, repr=False)
     #: A :class:`~repro.cluster.ClusterConfig` (sharded primaries ×

@@ -1,44 +1,37 @@
 """The server's shared backing database and per-connection views.
 
-One process serves one database.  The :class:`ServerStore` owns it, in
-any of the five composable backings the in-process :class:`Session`
-already supports — plain in-memory, ``durable_dir`` (WAL + checkpoints),
-``shards=N`` (coordinator over N durable shard stores), ``replica_of``
-(read-only follower), or ``cluster=ClusterConfig(...)`` (sharded
-primaries × replica sets with per-shard failover) — so the network
-front-end adds a wire, not a sixth storage engine.
+One process serves one database.  The :class:`ServerStore` is a thin
+owner of one :class:`Session`, so the server composes the same five
+backings the session does (see :mod:`repro.lang.backing`) and adds a
+wire, not a sixth storage engine.
 
-**Writes** are serialized.  On the plain backing they run through the
-existing :class:`~repro.concurrency.manager.TransactionManager` path
-(``run`` stages the sentence's commands and commits atomically, and its
-abort-on-raise discipline guarantees a failing sentence never leaks an
-ACTIVE transaction — the same fix PR 1 made in-process, now load-bearing
-at the network boundary).  Durable, sharded and replica backings write
-through the authoritative session, whose execute path is already the
-serialized WAL/coordinator commit path.  Either way the asyncio server
-executes at most one write at a time, so the two paths agree with the
-sequential-sentence semantics the paper mandates.
+**Writes** are serialized.  On the plain backing a sentence commits as
+one transaction through the session's transaction manager, whose
+abort-on-raise discipline means a failing sentence never half-applies
+or leaks an ACTIVE transaction; other backings write through their own
+WAL/coordinator commit path.  Writes through :attr:`ServerStore.session`
+share that one path, so transaction numbers stay strictly increasing.
 
 **Reads** never touch the write path.  Each connection gets its own
-:class:`SessionView` — a private plain :class:`Session` re-anchored at
-the store's current immutable database value per request — so every
-connection carries its *own* plan cache (parse once, optimize once,
-compile once per query text) while all views share the process-wide
-versioned state cache.  Sharded and replica backings route reads through
-the authoritative session instead (scatter-gather and bounded-staleness
-logic live there).
+:class:`SessionView`: a reader over the session's backing with a
+private plan cache (parse once, optimize once, compile once per query
+text).  Replica backings catch up before each read (serve-fresh).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.database import Database
-from repro.errors import ReproError
+from repro.errors import ConcurrencyError, ReproError
 from repro.lang.parser import parse_sentence
 from repro.lang.session import Session, format_state
 
 __all__ = ["ServerStore", "SessionView", "render_state"]
+
+#: The backing keyword arguments a store forwards to its Session.
+_BACKING_KWARGS = frozenset({
+    "durable_dir", "fsync", "checkpoint_every", "shards", "replica_of",
+    "cluster", "isolation",
+})
 
 
 def render_state(state) -> str:
@@ -53,63 +46,20 @@ def render_state(state) -> str:
 
 
 class ServerStore:
-    """The one shared backing database behind a server."""
+    """The one shared backing database behind a server.
 
-    def __init__(
-        self,
-        *,
-        durable_dir: Optional[str] = None,
-        fsync: str = "batch(64, 100)",
-        checkpoint_every: int = 256,
-        shards: Optional[int] = None,
-        replica_of=None,
-        cluster=None,
-        isolation: str = "serial",
-    ) -> None:
-        plain = (
-            durable_dir is None
-            and shards is None
-            and replica_of is None
-            and cluster is None
-        )
-        if isolation not in ("serial", "si", "ssi"):
-            raise ValueError(
-                f"isolation must be 'serial', 'si' or 'ssi', got "
-                f"{isolation!r}"
+    Takes the backing keyword arguments of :class:`Session`
+    (``durable_dir``, ``fsync``, ``checkpoint_every``, ``shards``,
+    ``replica_of``, ``cluster``, ``isolation``) with its defaults."""
+
+    def __init__(self, **backing) -> None:
+        unknown = sorted(backing.keys() - _BACKING_KWARGS)
+        if unknown:
+            raise TypeError(
+                f"ServerStore() got unexpected keyword argument(s) "
+                f"{', '.join(unknown)}"
             )
-        if isolation != "serial" and not plain:
-            raise ValueError(
-                "isolation='si'/'ssi' applies to the plain in-memory "
-                "backing; durable/sharded/replica/cluster backings "
-                "serialize writes through their own commit path"
-            )
-        self._session = Session(
-            durable_dir,
-            fsync=fsync,
-            checkpoint_every=checkpoint_every,
-            shards=shards,
-            replica_of=replica_of,
-            cluster=cluster,
-        )
-        self._shared_reads = (
-            shards is not None
-            or replica_of is not None
-            or cluster is not None
-        )
-        self._replica = replica_of is not None
-        self._isolation = isolation
-        self._manager = None
-        if plain:
-            if isolation == "serial":
-                from repro.concurrency.manager import TransactionManager
-
-                self._manager = TransactionManager(self._session.database)
-            else:
-                from repro.concurrency.mvcc import MVCCManager
-
-                self._manager = MVCCManager(
-                    self._session.database, isolation
-                )
+        self._session = Session(**backing)
 
     # -- state ---------------------------------------------------------------
 
@@ -120,17 +70,18 @@ class ServerStore:
 
     @property
     def manager(self):
-        """The plain backing's transaction manager — a serial
-        :class:`TransactionManager` or, under ``isolation='si'/'ssi'``,
-        an :class:`~repro.concurrency.mvcc.MVCCManager` (None for
-        durable/sharded/replica backings, whose own execute path is the
-        serialized commit path)."""
-        return self._manager
+        """The session's transaction manager on the plain backing (see
+        :attr:`Session.transaction_manager`); None on the others, whose
+        own execute path is the serialized commit path."""
+        try:
+            return self._session.transaction_manager
+        except ConcurrencyError:
+            return None
 
     @property
     def isolation(self) -> str:
         """The write path's isolation level."""
-        return self._isolation
+        return self._session.isolation
 
     @property
     def transaction_number(self) -> int:
@@ -145,22 +96,15 @@ class ServerStore:
     def degraded_shards(self) -> "tuple[int, ...]":
         """Shards currently refusing writes (cluster backing only)."""
         cluster = self.cluster
-        if cluster is None:
-            return ()
-        return cluster.degraded_shards
+        return () if cluster is None else cluster.degraded_shards
 
     @property
     def fully_degraded(self) -> bool:
         """True when *every* shard of a cluster backing is degraded —
         the server then sheds writes at admission instead of queueing
         work that is guaranteed to fail."""
-        cluster = self.cluster
-        if cluster is None:
-            return False
-        return (
-            cluster.shard_count > 0
-            and len(cluster.degraded_shards) == cluster.shard_count
-        )
+        degraded = self.degraded_shards
+        return bool(degraded) and len(degraded) == self.cluster.shard_count
 
     def current_database(self) -> Database:
         """The immutable database value reads anchor to."""
@@ -172,19 +116,7 @@ class ServerStore:
         """Execute one sentence; returns the resulting transaction
         number.  Raises (without partial effect on the plain backing)
         when the sentence is invalid."""
-        if self._manager is not None:
-            commands = parse_sentence(source)
-
-            def body(txn) -> None:
-                for command in commands:
-                    txn.stage(command)
-
-            database = self._manager.run(body)
-            # keep the authoritative session's trail in step
-            self._session._record_history(database)
-            return database.transaction_number
-        self._session.execute(source)
-        return self._session.transaction_number
+        return self._session._execute_sentence(parse_sentence(source))
 
     # -- reads ---------------------------------------------------------------
 
@@ -195,9 +127,8 @@ class ServerStore:
     def catch_up(self) -> int:
         """Replica backing: apply shipped records before a read (the
         serve-fresh policy); other backings: no-op."""
-        if self._replica:
-            return self._session.catch_up()
-        return 0
+        session = self._session
+        return 0 if session.replica is None else session.catch_up()
 
     def close(self) -> None:
         self._session.close()
@@ -205,29 +136,16 @@ class ServerStore:
 
 class SessionView:
     """One connection's read view: a private plan cache over the shared
-    backing.
-
-    Value-backed stores (plain / durable) re-anchor a private plain
-    :class:`Session` at the store's current database value per request —
-    concurrent reads then share nothing mutable but the (thread-safe by
-    event-loop serialization) state cache.  Sharded and replica stores
-    delegate to the authoritative session, which owns the scatter-gather
-    router / staleness bound.
-    """
+    backing, so every read sees the latest committed value."""
 
     __slots__ = ("_store", "_session")
 
     def __init__(self, store: ServerStore) -> None:
         self._store = store
-        self._session = None if store._shared_reads else Session()
+        self._session = store.session._view()
 
     def _reader(self) -> Session:
-        if self._session is None:
-            self._store.catch_up()
-            return self._store.session
-        # re-anchor the private session at the current shared value;
-        # Session re-plans cached queries when the txn number moves
-        self._session._database = self._store.current_database()
+        self._store.catch_up()
         return self._session
 
     def query(self, source: str) -> str:
@@ -239,7 +157,7 @@ class SessionView:
         return self._reader().explain(source)
 
     def plan_cache_info(self) -> dict:
-        return self._reader().plan_cache_info()
+        return self._session.plan_cache_info()
 
 
 def ensure_no_leaked_transactions(store: ServerStore) -> None:

@@ -135,6 +135,9 @@ class ShardedDatabase:
     each shard, so sharding composes with all five storage backends.
     """
 
+    #: Reads scatter-gather through :meth:`evaluate`.
+    compiled_reads = False
+
     def __init__(
         self,
         shards: int = 2,
@@ -684,6 +687,11 @@ class ShardedDatabase:
             return relation.rstate[-1][0]
         return EMPTY_STATE
 
+    @property
+    def database(self) -> Database:
+        """The global value, assembled on demand by :meth:`as_database`."""
+        return self.as_database()
+
     def as_database(self) -> Database:
         """The global :class:`~repro.core.database.Database` value — the
         same value the unsharded execution of the sentence produces.
@@ -957,6 +965,11 @@ class ShardedDatabase:
     def checkpoint(self) -> None:
         for shard in self._shards:
             shard.checkpoint()
+
+    def catch_up(self) -> int:
+        """Shards are primaries and follow no stream: nothing to
+        apply."""
+        return 0
 
     def _meta_snapshot(self) -> dict:
         return {

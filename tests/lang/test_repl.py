@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.lang.repl import Repl, run_repl
+from repro.lang.session import Session
 
 
 def drive(lines):
@@ -116,6 +117,38 @@ class TestMeta:
         assert "loaded" in output2
         assert "5" in output2
         assert repl2.session.transaction_number == 2
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "db.json"
+        drive(
+            [
+                "define_relation(r, rollback);",
+                'modify_state(r, state (k: integer) { (5) });',
+                f".save {path}",
+            ]
+        )
+        return path
+
+    def test_repeated_loads_respect_the_history_limit(self, tmp_path):
+        path = self._saved(tmp_path)
+        repl = Repl(io.StringIO())
+        repl.session = Session(history_limit=2)
+        for _ in range(5):
+            repl.feed(f".load {path}")
+        assert len(repl.session.history) <= 2
+
+    def test_load_survives_the_next_command_after_a_transaction(
+        self, tmp_path
+    ):
+        path = self._saved(tmp_path)
+        output, repl = drive([])
+        session = repl.session
+        session.commit(session.begin())
+        repl.feed(f".load {path}")
+        repl.feed("define_relation(q, snapshot);")
+        assert session.database.lookup("r") is not None
+        assert session.database.lookup("q") is not None
+        assert session.transaction_number == 3
 
     def test_save_without_path(self):
         output, _ = drive([".save"])

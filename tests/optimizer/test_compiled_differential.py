@@ -11,8 +11,9 @@ oracle:
   the plain evaluator on a semantic database;
 * directed queries over **all five** storage backends, with the
   compiled plan executing directly against the backend's database view;
-* string queries through plain, sharded (``shards=2``), durable and
-  replica :class:`Session` objects — whose ``query`` path optimizes and
+* string queries through plain, snapshot-isolated, sharded
+  (``shards=2``), durable, replica and cluster :class:`Session`
+  objects — whose ``query`` path optimizes and
   compiles under the covers — against the oracle, twice each so the
   second call exercises the cached compiled plan.
 
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.compile import compile_expression
 from repro.core.database import Database
@@ -44,6 +46,7 @@ from repro.core.expressions import (
 )
 from repro.core.sentences import run
 from repro.core.txn import NOW
+from repro.errors import ConcurrencyError
 from repro.lang.parser import parse_expression
 from repro.lang.session import Session
 from repro.optimizer import collect_statistics, optimize_with_cost
@@ -301,10 +304,11 @@ class TestSessions:
     def test_seeded_random_workload_all_modes_agree(
         self, test_seed, tmp_path
     ):
-        """A seeded random command stream applied to plain, sharded and
-        durable sessions; every mode must answer every query like the
-        plain evaluator on its own database value (and the values must
-        agree across modes)."""
+        """A seeded random command stream applied to plain, si, sharded,
+        durable and cluster sessions (plus a replica of the durable
+        one); every mode must answer every query like the plain
+        evaluator on its own database value (and the values must agree
+        across modes)."""
         rng = random.Random(test_seed)
         commands = [
             "define_relation(r, rollback)",
@@ -332,20 +336,29 @@ class TestSessions:
         ]
 
         plain = Session()
+        snapshot_isolated = Session(isolation="si")
         sharded = Session(shards=2)
         durable = Session(str(tmp_path / "durable"))
+        cluster = Session(
+            cluster=ClusterConfig(shards=2, replicas_per_shard=1)
+        )
+        replica = Session(replica_of=durable)
+        writers = (plain, snapshot_isolated, sharded, durable, cluster)
         try:
+            for session in (sharded, durable, cluster, replica):
+                with pytest.raises(ConcurrencyError):
+                    session.transaction_manager
             for command in commands:
-                plain.execute(command)
-                sharded.execute(command)
-                durable.execute(command)
-            assert sharded.database == plain.database
-            assert durable.database == plain.database
+                for session in writers:
+                    session.execute(command)
+            replica.catch_up()
+            for session in writers[1:] + (replica,):
+                assert session.database == plain.database
             for source in queries:
                 oracle = evaluate(
                     parse_expression(source), plain.database
                 )
-                for session in (plain, sharded, durable):
+                for session in writers + (replica,):
                     for _ in range(2):
                         result = session.query(source)
                         if is_empty_set(oracle):
@@ -353,5 +366,5 @@ class TestSessions:
                         else:
                             assert states_equal(oracle, result)
         finally:
-            sharded.close()
-            durable.close()
+            for session in (replica, sharded, durable, cluster):
+                session.close()
