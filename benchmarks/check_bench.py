@@ -13,6 +13,12 @@ For every measurement of kind ``speedup`` the fresh value must be
 * at least the measurement's absolute ``floor`` when one is recorded
   (the repeated-query measurements commit to the >=5x acceptance bar).
 
+A measurement of kind ``count`` committed at 0 is a zero-tolerance bar
+(client errors through a failover, a refusal gap): a fresh count above
+the committed one fails.  Nonzero counts (requests shed in a burst,
+reads completed around a failover) record no direction, so they are
+not gated.
+
 Ratios rather than absolute latencies are compared so the check is
 stable across machines: both sides of each speedup are timed in the
 same process on the same host.
@@ -46,7 +52,9 @@ def check(
         baseline = _load(baseline_dir, name)["measurements"]
         fresh = _load(fresh_dir, name)["measurements"]
         for key, committed in baseline.items():
-            if committed.get("kind") != "speedup":
+            kind = committed.get("kind")
+            is_bar = kind == "count" and committed.get("value") == 0
+            if kind != "speedup" and not is_bar:
                 continue
             if key not in fresh:
                 failures.append(
@@ -54,6 +62,17 @@ def check(
                 )
                 continue
             value = fresh[key]["value"]
+            if is_bar:
+                print(
+                    f"  {name}.{key}: committed {committed['value']}, "
+                    f"fresh {value}"
+                )
+                if value > committed["value"]:
+                    failures.append(
+                        f"{name}.{key}: count {value} is above the "
+                        f"committed bar of {committed['value']}"
+                    )
+                continue
             required = committed["value"] * (1.0 - tolerance)
             floor = committed.get("floor")
             print(

@@ -90,8 +90,8 @@ class TieredReader:
             if is_now(numeral)
             else int(numeral)  # type: ignore[arg-type]
         )
-        live_txns = relation.transaction_numbers
-        if live_txns and probe >= live_txns[0]:
+        live = relation.rstate
+        if live and probe >= live[0][1]:
             return relation.find_state(probe)
         archived = self._store.find_state(identifier, probe)
         if archived is None:

@@ -103,25 +103,7 @@ class Relation:
         states = tuple(states)
         previous = -1
         for state, txn in states:
-            if txn <= previous:
-                raise RelationTypeError(
-                    "state-sequence transaction numbers must be strictly "
-                    f"increasing; saw {txn} after {previous}"
-                )
-            if rtype.stores_valid_time and not isinstance(
-                state, HistoricalState
-            ):
-                raise RelationTypeError(
-                    f"{rtype.value} relations store historical states, "
-                    f"got {type(state).__name__}"
-                )
-            if not rtype.stores_valid_time and not isinstance(
-                state, SnapshotState
-            ):
-                raise RelationTypeError(
-                    f"{rtype.value} relations store snapshot states, "
-                    f"got {type(state).__name__}"
-                )
+            _check_element(rtype, state, txn, previous)
             previous = txn
         if not rtype.keeps_history and len(states) > 1:
             raise RelationTypeError(
@@ -130,6 +112,17 @@ class Relation:
             )
         self._rtype = rtype
         self._states = states
+
+    @classmethod
+    def _checked_sequence(
+        cls, rtype: RelationType, states: StateSequence
+    ) -> "Relation":
+        """A relation over a sequence whose every element has already been
+        checked — the constructor without the re-scan."""
+        relation = object.__new__(cls)
+        relation._rtype = rtype
+        relation._states = states
+        return relation
 
     # -- the paper's auxiliary functions -------------------------------------
 
@@ -158,6 +151,12 @@ class Relation:
         return tuple(txn for _, txn in self._states)
 
     @property
+    def latest_txn(self) -> "TransactionNumber | None":
+        """The last element's transaction number, or None when the
+        sequence is empty — O(1), unlike :attr:`transaction_numbers`."""
+        return self._states[-1][1] if self._states else None
+
+    @property
     def current_state(self):
         """The most recent state, or :data:`EMPTY_STATE` when none exists."""
         if not self._states:
@@ -180,9 +179,17 @@ class Relation:
         """The relation after ``modify_state`` installs ``state`` at
         transaction ``txn``: replacement for snapshot/historical relations,
         append for rollback/temporal relations (paper Sections 3.5 and 4)."""
-        if self._rtype.keeps_history:
-            return Relation(self._rtype, self._states + ((state, txn),))
-        return Relation(self._rtype, ((state, txn),))
+        rtype = self._rtype
+        if rtype.keeps_history:
+            # the receiver's elements were checked when it was built, so
+            # checking the appended one keeps C4 by induction
+            previous = self._states[-1][1] if self._states else -1
+            _check_element(rtype, state, txn, previous)
+            return Relation._checked_sequence(
+                rtype, self._states + ((state, txn),)
+            )
+        _check_element(rtype, state, txn, -1)
+        return Relation._checked_sequence(rtype, ((state, txn),))
 
     # -- equality ----------------------------------------------------------
 
@@ -199,6 +206,33 @@ class Relation:
             f"Relation({self._rtype.value}, "
             f"{len(self._states)} states at txns "
             f"{[txn for _, txn in self._states]})"
+        )
+
+
+def _check_element(
+    rtype: RelationType,
+    state: State,
+    txn: TransactionNumber,
+    previous: TransactionNumber,
+) -> None:
+    """Check one (state, txn) element against its predecessor's txn (-1
+    when it has none): txns strictly increase (C4) and the state's kind
+    matches the relation type."""
+    if txn <= previous:
+        raise RelationTypeError(
+            "state-sequence transaction numbers must be strictly "
+            f"increasing; saw {txn} after {previous}"
+        )
+    if rtype.stores_valid_time:
+        if not isinstance(state, HistoricalState):
+            raise RelationTypeError(
+                f"{rtype.value} relations store historical states, "
+                f"got {type(state).__name__}"
+            )
+    elif not isinstance(state, SnapshotState):
+        raise RelationTypeError(
+            f"{rtype.value} relations store snapshot states, "
+            f"got {type(state).__name__}"
         )
 
 

@@ -31,6 +31,7 @@ from repro.core.expressions import Expression
 from repro.core.relation import EMPTY_STATE
 from repro.core.txn import TransactionNumber
 from repro.durability.checkpoint import (
+    StateFragments,
     drop_old_checkpoints,
     write_checkpoint,
 )
@@ -82,6 +83,7 @@ class DurableDatabase:
         )
         self._checkpoint_every = checkpoint_every
         self._keep_checkpoints = keep_checkpoints
+        self._fragments = StateFragments()
         result = recover(store, wal=self._wal)
         if result.checkpoint_lsn > self._wal.last_lsn:
             # the checkpoint outlived the log (e.g. a lying fsync lost
@@ -195,7 +197,12 @@ class DurableDatabase:
         """Sync the log, publish a checkpoint, drop superseded
         checkpoints, and compact fully-covered WAL segments."""
         self._wal.sync()
-        write_checkpoint(self._store, self._database, self._wal.last_lsn)
+        write_checkpoint(
+            self._store,
+            self._database,
+            self._wal.last_lsn,
+            self._fragments,
+        )
         kept = drop_old_checkpoints(
             self._store, keep=self._keep_checkpoints
         )

@@ -134,9 +134,9 @@ def _from_database(database) -> Statistics:
         state = relation.current_state
         cardinalities[identifier] = float(len(state))
         version_counts[identifier] = relation.history_length
-        txns = relation.transaction_numbers
-        if txns:
-            latest_txns[identifier] = txns[-1]
+        txn = relation.latest_txn
+        if txn is not None:
+            latest_txns[identifier] = txn
     return Statistics(cardinalities, version_counts, latest_txns)
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from typing import Any, IO
+from operator import itemgetter
+from typing import IO, Any, Callable
 
 from repro.errors import StorageError
 from repro.core.database import Database, DatabaseState
@@ -29,7 +30,11 @@ __all__ = [
     "FORMAT_VERSION",
     "database_to_dict",
     "database_from_dict",
+    "database_to_json",
+    "canonical_json",
+    "row_json",
     "state_to_dict",
+    "state_to_json",
     "state_from_dict",
     "dumps",
     "loads",
@@ -43,6 +48,15 @@ _BUILTIN_DOMAINS: dict[str, Domain] = {
     d.name: d
     for d in (ANY, BOOLEAN, INTEGER, NUMBER, STRING, USER_DEFINED_TIME)
 }
+
+
+#: ``canonical_json(value)``: ``value`` as compact JSON with sorted keys
+#: and unescaped non-ASCII text — the form checkpoints are written in.
+#: One shared encoder, because ``json.dumps`` with options builds a new
+#: one per call and checkpoints encode one small row at a time.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
 
 
 # -- schemas -----------------------------------------------------------------
@@ -82,31 +96,54 @@ def _periods_from_list(payload: list[list[Any]]) -> PeriodSet:
     )
 
 
+def _state_kind(state) -> str:
+    if isinstance(state, HistoricalState):
+        return "historical"
+    if isinstance(state, SnapshotState):
+        return "snapshot"
+    raise StorageError(f"cannot serialize state {type(state).__name__}")
+
+
+def _row(t) -> list[Any]:
+    """One tuple's entry in its state's ``rows``."""
+    if isinstance(t, HistoricalTuple):
+        return [list(t.value.values), _periods_to_list(t.valid_time)]
+    return list(t.values)
+
+
 def state_to_dict(state) -> dict[str, Any]:
     """A snapshot or historical state as a JSON-ready dictionary — the
     per-state slice of :func:`database_to_dict`, public because other
     layers (the archive store, checkpoints) serialize bare states."""
-    if isinstance(state, HistoricalState):
-        return {
-            "kind": "historical",
-            "schema": _schema_to_dict(state.schema),
-            "rows": sorted(
-                (
-                    [list(t.value.values), _periods_to_list(t.valid_time)]
-                    for t in state.tuples
-                ),
-                key=repr,
-            ),
-        }
-    if isinstance(state, SnapshotState):
-        return {
-            "kind": "snapshot",
-            "schema": _schema_to_dict(state.schema),
-            "rows": sorted(
-                (list(t.values) for t in state.tuples), key=repr
-            ),
-        }
-    raise StorageError(f"cannot serialize state {type(state).__name__}")
+    return {
+        "kind": _state_kind(state),
+        "schema": _schema_to_dict(state.schema),
+        "rows": sorted((_row(t) for t in state.tuples), key=repr),
+    }
+
+
+def row_json(t) -> tuple[str, str]:
+    """One tuple's row as ``(sort key, canonical JSON)``: rows are
+    ordered by the ``repr`` of their :func:`state_to_dict` form."""
+    row = _row(t)
+    return repr(row), canonical_json(row)
+
+
+def state_to_json(
+    state, encode_row: Callable[[Any], tuple[str, str]] = row_json
+) -> str:
+    """``canonical_json(state_to_dict(state))``, assembled from one
+    :func:`row_json` pair per tuple so a caller can pass an
+    ``encode_row`` that reuses rows it encoded before.  The sort is
+    stable and sees the tuples in the same order as
+    :func:`state_to_dict`, so ties in the sort key fall the same way."""
+    kind = _state_kind(state)
+    rows = sorted(map(encode_row, state.tuples), key=itemgetter(0))
+    return '{"kind":%s,"rows":[%s],"schema":%s}' % (
+        canonical_json(kind),
+        ",".join(map(itemgetter(1), rows)),
+        canonical_json(_schema_to_dict(state.schema)),
+    )
 
 
 def state_from_dict(payload: dict[str, Any]):
@@ -163,6 +200,39 @@ def database_to_dict(database: Database) -> dict[str, Any]:
             for identifier in database.state
         },
     }
+
+
+def database_to_json(
+    database: Database, encode_state: Callable[[Any], str] = state_to_json
+) -> str:
+    """``canonical_json(database_to_dict(database))``, assembled from one
+    fragment per state so a caller can pass an ``encode_state`` that
+    reuses fragments it encoded before.
+
+    The text is byte-identical to the dict route: keys appear in the
+    order ``sort_keys`` gives them, and each fragment is the canonical
+    encoding of :func:`state_to_dict`.
+    """
+    relations = []
+    for identifier in database.state.identifiers:
+        relation = database.require(identifier)
+        states = ",".join(
+            '{"state":%s,"txn":%d}' % (encode_state(state), txn)
+            for state, txn in relation.rstate
+        )
+        relations.append(
+            '%s:{"states":[%s],"type":%s}'
+            % (
+                canonical_json(identifier),
+                states,
+                canonical_json(relation.rtype.value),
+            )
+        )
+    return (
+        '{"format":"repro-database","relations":{%s},'
+        '"transaction_number":%d,"version":%d}'
+        % (",".join(relations), database.transaction_number, FORMAT_VERSION)
+    )
 
 
 def database_from_dict(payload: dict[str, Any]) -> Database:

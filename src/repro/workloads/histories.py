@@ -293,8 +293,8 @@ def _version_of(database: Database, relation: str) -> int:
     bound = database.state.lookup(relation)
     if bound is None:
         return 0
-    stamps = bound.transaction_numbers
-    return stamps[-1] if stamps else 0
+    latest = bound.latest_txn
+    return 0 if latest is None else latest
 
 
 def run_schedule(
