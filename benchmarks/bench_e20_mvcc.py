@@ -1,20 +1,21 @@
-"""E20 — multi-writer MVCC throughput vs the serial manager.
+"""E20 — multi-writer MVCC throughput vs the serial isolation level.
 
 The workload every multi-writer design is built for: write sets are all
 disjoint (writers append to their own hot relation, readers write their
 own private relation), but every reader scans the hot relations.  Under
-the serial :class:`TransactionManager`'s backward validation a reader
-aborts whenever any hot writer committed during its window — each writer
-pulse restarts the whole reader cohort, which re-reads everything
-(classic OCC retry storms).  Under the :class:`MVCCManager` reads come
+the :class:`TransactionManager`'s ``serial`` level, backward validation
+aborts a reader whenever any hot writer committed during its window —
+each writer pulse restarts the whole reader cohort, which re-reads
+everything (classic OCC retry storms).  At the ``si`` level reads come
 off the begin-time snapshot and never invalidate: with disjoint write
 sets the first-committer-wins probe admits every transaction on its
-first attempt.
+first attempt.  Both levels run the same manager class; only the probe
+set (read set vs write set) and the apply step differ.
 
 Also measured: the SSI surcharge on the same workload (its
 rw-antidependency analysis finds no pivot here, so it should track SI),
-and abort parity under deliberate self-overlap — MVCC must refuse every
-lost update the serial manager refuses (faster, not looser).
+and abort parity under deliberate self-overlap — si must refuse every
+lost update serial refuses (faster, not looser).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.concurrency import MVCCManager, TransactionManager
+from repro.concurrency import TransactionManager
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.expressions import Const, Rollback
 from repro.errors import ConcurrencyError
@@ -81,12 +82,12 @@ def _begin_reader(manager, config, i: int):
     return transaction
 
 
-def disjoint_tps(make_manager, config) -> tuple[float, int, int]:
+def disjoint_tps(isolation, config) -> tuple[float, int, int]:
     """Commits/second: per wave, the reader cohort begins, then writer
     pulses land on the hot relations with reader commit attempts after
     each pulse.  Every write set is disjoint, so an ideal multi-writer
     manager admits everything first try."""
-    manager = make_manager()
+    manager = TransactionManager(isolation=isolation)
     _setup(manager, config)
     committed = 0
     start = time.perf_counter()
@@ -123,24 +124,24 @@ def disjoint_tps(make_manager, config) -> tuple[float, int, int]:
     return committed / elapsed, committed, manager.abort_count
 
 
-def best_tps(make_manager, config) -> tuple[float, int, int]:
+def best_tps(isolation, config) -> tuple[float, int, int]:
     """Best of ``repeats`` runs (throughput benchmarks race the noise
     floor, not the mean); also returns commit/abort counts of the last
     run for sanity assertions."""
     best = 0.0
     committed = aborts = 0
     for _ in range(config["repeats"]):
-        tps, committed, aborts = disjoint_tps(make_manager, config)
+        tps, committed, aborts = disjoint_tps(isolation, config)
         best = max(best, tps)
     return best, committed, aborts
 
 
 def lost_update_refusals(config) -> tuple[int, int]:
-    """Both managers must abort one of two overlapping writers; returns
-    (serial aborts, mvcc aborts) over ``readers`` contended pairs."""
+    """Both levels must abort one of two overlapping writers; returns
+    (serial aborts, si aborts) over ``readers`` contended pairs."""
     counts = []
-    for make_manager in (TransactionManager, MVCCManager):
-        manager = make_manager()
+    for isolation in ("serial", "si"):
+        manager = TransactionManager(isolation=isolation)
         _setup(manager, config)
         for i in range(config["readers"]):
             relation = _private(i)
@@ -169,23 +170,19 @@ def lost_update_refusals(config) -> tuple[int, int]:
 def report(smoke: bool = False) -> str:
     config = SMOKE if smoke else FULL
     lines = [
-        f"E20 — multi-writer MVCC vs the serial manager "
+        f"E20 — multi-writer MVCC vs the serial level "
         f"({config['readers']} readers x {config['hot']} hot writers, "
         f"{'smoke' if smoke else 'full'} run)"
     ]
-    serial_tps, committed, serial_aborts = best_tps(
-        TransactionManager, config
-    )
-    si_tps, si_committed, si_aborts = best_tps(MVCCManager, config)
-    ssi_tps, _, ssi_aborts = best_tps(
-        lambda: MVCCManager(isolation="ssi"), config
-    )
+    serial_tps, committed, serial_aborts = best_tps("serial", config)
+    si_tps, si_committed, si_aborts = best_tps("si", config)
+    ssi_tps, _, ssi_aborts = best_tps("ssi", config)
     assert committed == si_committed, "both must land every transaction"
     assert si_aborts == 0 and ssi_aborts == 0, (
         "disjoint write sets must never abort under MVCC"
     )
     lines.append(
-        f"  serial manager: {serial_tps:,.0f} commits/s "
+        f"  serial level:   {serial_tps:,.0f} commits/s "
         f"({serial_aborts} reader retries per run: every writer pulse "
         "restarts the cohort)"
     )
@@ -211,11 +208,9 @@ def report(smoke: bool = False) -> str:
 def bench_payload() -> dict:
     """Perf-trajectory record for the committed ``BENCH_e20.json``."""
     config = FULL
-    serial_tps, _, _ = best_tps(TransactionManager, config)
-    si_tps, _, si_aborts = best_tps(MVCCManager, config)
-    ssi_tps, _, _ = best_tps(
-        lambda: MVCCManager(isolation="ssi"), config
-    )
+    serial_tps, _, _ = best_tps("serial", config)
+    si_tps, _, si_aborts = best_tps("si", config)
+    ssi_tps, _, _ = best_tps("ssi", config)
     serial_refused, mvcc_refused = lost_update_refusals(config)
     return {
         "experiment": "e20",

@@ -20,6 +20,7 @@ import sys
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.concurrency.manager import ISOLATION_LEVELS
     from repro.lang.backing import DEFAULT_FSYNC
 
     parser = argparse.ArgumentParser(
@@ -139,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--isolation",
-        choices=("serial", "si", "ssi"),
+        choices=ISOLATION_LEVELS,
         default="serial",
         help="write-path isolation on the plain backing: serial "
         "(single-writer), si (snapshot isolation, first-committer-"

@@ -11,25 +11,23 @@ This package provides that implementation layer:
 
 * :class:`Transaction` — a client-visible unit of work: reads against a
   begin-time snapshot, staged commands, commit/abort;
-* :class:`TransactionManager` — optimistic timestamp-ordering validation
-  (backward validation against transactions that committed during this
-  transaction's lifetime) and atomic commit with a monotonically
-  increasing commit transaction number;
+* :class:`TransactionManager` — lock-free snapshot reads straight off the
+  paper's version chains and atomic commit under a monotonically
+  increasing commit transaction number, at one of
+  :data:`ISOLATION_LEVELS`: ``serial`` (backward validation of the read
+  set against transactions that committed during this one's lifetime),
+  ``si`` (first-committer-wins snapshot isolation) or ``ssi`` (SI that
+  also aborts rw-antidependency dangerous structures; experiment E20,
+  verified by the DSG isolation checker in
+  :mod:`repro.workloads.histories`);
 * :class:`InterleavedScheduler` — a deterministic simulator that interleaves
   many clients' transactions and checks the fundamental property: the
   committed database equals the serial execution of the committed
-  transactions in commit order (experiment E10);
-* :class:`MVCCManager` — true multi-writer MVCC over the paper's version
-  chains: lock-free snapshot reads at the begin transaction number,
-  first-committer-wins write-conflict detection (snapshot isolation), and
-  an optional SSI mode that aborts rw-antidependency dangerous structures
-  (experiment E20, verified by the DSG isolation checker in
-  :mod:`repro.workloads.histories`).
+  transactions in commit order (experiment E10).
 """
 
 from repro.concurrency.transactions import Transaction, TransactionStatus
-from repro.concurrency.manager import TransactionManager
-from repro.concurrency.mvcc import ISOLATION_LEVELS, MVCCManager
+from repro.concurrency.manager import ISOLATION_LEVELS, TransactionManager
 from repro.concurrency.serializer import (
     ClientScript,
     InterleavedScheduler,
@@ -40,7 +38,6 @@ __all__ = [
     "Transaction",
     "TransactionStatus",
     "TransactionManager",
-    "MVCCManager",
     "ISOLATION_LEVELS",
     "ClientScript",
     "InterleavedScheduler",

@@ -62,9 +62,8 @@ class InterleavedScheduler:
         self._rng = random.Random(seed)
         self._overlap = overlap
         self._max_retries = max_retries
-        #: Any manager with the begin/commit/abort surface works — the
-        #: serial TransactionManager by default, an MVCCManager when
-        #: comparing isolation levels (bench_e20).
+        #: A serial TransactionManager by default; bench_e20 passes
+        #: si/ssi managers to compare isolation levels.
         self.manager = manager if manager is not None else TransactionManager()
         #: Commands of each committed transaction, in commit order.
         self.committed_scripts: list[list[Command]] = []

@@ -71,7 +71,8 @@ class Transaction:
         "commands",
         "status",
         "commit_txn",
-        "_explicit_reads",
+        "read_set",
+        "write_set",
     )
 
     def __init__(
@@ -86,7 +87,12 @@ class Transaction:
         self.status = TransactionStatus.ACTIVE
         #: The commit transaction number, set on commit.
         self.commit_txn: Optional[int] = None
-        self._explicit_reads: set[str] = set()
+        #: Identifiers read — explicitly or inside staged expressions.
+        #: Kept up to date by :meth:`read` and :meth:`stage`, so each
+        #: expression is walked once however often a manager asks.
+        self.read_set: frozenset[str] = frozenset()
+        #: Identifiers the staged commands write.
+        self.write_set: frozenset[str] = frozenset()
 
     # -- client operations -------------------------------------------------------
 
@@ -94,31 +100,15 @@ class Transaction:
         """Evaluate an expression against the begin-time snapshot,
         recording the relations it touched in the read set."""
         self._require_active()
-        self._explicit_reads |= _read_identifiers_of_expression(expression)
+        self.read_set |= _read_identifiers_of_expression(expression)
         return expression.evaluate(self.snapshot)
 
     def stage(self, command: Command) -> None:
         """Add a command to the transaction's write script."""
         self._require_active()
         self.commands.append(command)
-
-    # -- conflict sets ----------------------------------------------------------
-
-    @property
-    def read_set(self) -> frozenset[str]:
-        """Identifiers read — explicitly or inside staged expressions."""
-        reads = frozenset(self._explicit_reads)
-        for command in self.commands:
-            reads |= _read_identifiers(command)
-        return reads
-
-    @property
-    def write_set(self) -> frozenset[str]:
-        """Identifiers the staged commands write."""
-        writes: frozenset[str] = frozenset()
-        for command in self.commands:
-            writes |= _written_identifiers(command)
-        return writes
+        self.read_set |= _read_identifiers(command)
+        self.write_set |= _written_identifiers(command)
 
     # -- internal ------------------------------------------------------------------
 

@@ -108,23 +108,27 @@ class Session:
         cluster=None,
         isolation: str = "serial",
     ) -> None:
-        if isolation not in ("serial", "si", "ssi"):
-            raise ValueError(
-                f"isolation must be 'serial', 'si' or 'ssi', got "
-                f"{isolation!r}"
-            )
-        if isolation != "serial" and (
-            durable_dir is not None
-            or replica_of is not None
-            or shards is not None
-            or cluster is not None
-        ):
-            raise ValueError(
-                "isolation='si'/'ssi' (multi-writer MVCC) applies to "
-                "plain in-memory sessions; durable, replica, sharded "
-                "and cluster sessions serialize writes through their "
-                "WAL/coordinator commit path (isolation='serial')"
-            )
+        if isolation != "serial":
+            # sessions that never run a manager never import it
+            from repro.concurrency.manager import ISOLATION_LEVELS
+
+            if isolation not in ISOLATION_LEVELS:
+                raise ValueError(
+                    f"isolation must be one of {ISOLATION_LEVELS}, got "
+                    f"{isolation!r}"
+                )
+            if (
+                durable_dir is not None
+                or replica_of is not None
+                or shards is not None
+                or cluster is not None
+            ):
+                raise ValueError(
+                    "isolation='si'/'ssi' (multi-writer MVCC) applies to "
+                    "plain in-memory sessions; durable, replica, sharded "
+                    "and cluster sessions serialize writes through their "
+                    "WAL/coordinator commit path (isolation='serial')"
+                )
         if history_limit is not None and history_limit < 1:
             raise ValueError(
                 f"history_limit must be ≥ 1 (the current database is "
@@ -394,30 +398,26 @@ class Session:
 
     @property
     def isolation(self) -> str:
-        """This session's isolation level: ``serial`` (the default
-        single-writer manager), ``si`` (multi-writer snapshot isolation
-        with first-committer-wins) or ``ssi`` (serializable snapshot
-        isolation)."""
+        """This session's isolation level: ``serial`` (the default;
+        backward validation of each transaction's reads), ``si``
+        (multi-writer snapshot isolation with first-committer-wins) or
+        ``ssi`` (serializable snapshot isolation)."""
         return self._isolation
 
     def _new_manager(self, database: Database):
-        if self._isolation == "serial":
-            from repro.concurrency.manager import TransactionManager
+        from repro.concurrency.manager import TransactionManager
 
-            return TransactionManager(database)
-        from repro.concurrency.mvcc import MVCCManager
-
-        return MVCCManager(database, self._isolation)
+        return TransactionManager(database, self._isolation)
 
     @property
     def transaction_manager(self):
-        """The session's transaction manager — an
-        :class:`~repro.concurrency.mvcc.MVCCManager` for ``si``/``ssi``
-        sessions, a lazily created serial
-        :class:`~repro.concurrency.manager.TransactionManager` for plain
-        ``serial`` sessions.  Durable/replica/sharded/cluster sessions
-        have no client-visible manager (their execute path *is* the
-        serialized commit path): raises :class:`ConcurrencyError`.
+        """The session's
+        :class:`~repro.concurrency.manager.TransactionManager` at its
+        isolation level — created with the session for ``si``/``ssi``,
+        lazily on first write for plain ``serial`` sessions.
+        Durable/replica/sharded/cluster sessions have no client-visible
+        manager (their execute path *is* the serialized commit path):
+        raises :class:`ConcurrencyError`.
         """
         if self._manager is None:
             if not isinstance(self._backing, MemoryBacking):

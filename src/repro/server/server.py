@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.concurrency.manager import ISOLATION_LEVELS
 from repro.errors import (
     ClusterDegradedError,
     ProtocolError,
@@ -82,9 +83,9 @@ class ServerConfig:
     #: A :class:`~repro.cluster.ClusterConfig` (sharded primaries ×
     #: replica sets); mutually exclusive with the three legacy backings.
     cluster: Optional[object] = field(default=None, repr=False)
-    #: Write-path isolation on the plain backing: "serial" (the
-    #: single-writer TransactionManager), "si" or "ssi" (multi-writer
-    #: MVCC, see repro.concurrency.mvcc).
+    #: Write-path isolation on the plain backing, one of
+    #: repro.concurrency.ISOLATION_LEVELS: "serial" (single writer),
+    #: "si" or "ssi" (multi-writer MVCC).
     isolation: str = "serial"
     #: Exactly-once dedup window bounds (see repro.server.dedup).
     dedup_sessions: int = 1024
@@ -99,6 +100,11 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServerError(f"workers must be ≥ 1, got {self.workers}")
+        if self.isolation not in ISOLATION_LEVELS:
+            raise ServerError(
+                f"isolation must be one of {ISOLATION_LEVELS}, got "
+                f"{self.isolation!r}"
+            )
         if self.supervise and self.cluster is None:
             raise ServerError(
                 "supervise=True needs a cluster backing "

@@ -21,7 +21,7 @@ text).  Replica backings catch up before each read (serve-fresh).
 from __future__ import annotations
 
 from repro.core.database import Database
-from repro.errors import ConcurrencyError, ReproError
+from repro.errors import ConcurrencyError
 from repro.lang.parser import parse_sentence
 from repro.lang.session import Session, format_state
 
@@ -158,13 +158,3 @@ class SessionView:
 
     def plan_cache_info(self) -> dict:
         return self._session.plan_cache_info()
-
-
-def ensure_no_leaked_transactions(store: ServerStore) -> None:
-    """Assert helper used by tests: the plain backing's manager has no
-    begun-but-unfinished transaction (the disconnect regression)."""
-    manager = store.manager
-    if manager is not None and manager.outstanding_count:
-        raise ReproError(
-            f"{manager.outstanding_count} ACTIVE transaction(s) leaked"
-        )

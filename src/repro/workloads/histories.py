@@ -1,10 +1,11 @@
 """Assembled histories for the benchmark harness, and the
 property-based isolation checker (E20).
 
-The second half of this module is the adversarial proof for the MVCC
-layer (:mod:`repro.concurrency.mvcc`): it generates randomized
-concurrent schedules (interleaved begin/read/write/commit/abort over
-shared relations), runs them through any transaction manager, records
+The second half of this module is the adversarial proof for the
+isolation levels of :class:`~repro.concurrency.manager.TransactionManager`:
+it generates randomized concurrent schedules (interleaved
+begin/read/write/commit/abort over shared relations), runs them
+through a manager at any level, records
 the *observed* history — which version every read saw, which version
 every commit installed — and checks isolation by building Adya's Direct
 Serialization Graph (DSG) and classifying its cycles:
@@ -302,10 +303,9 @@ def run_schedule(
     schedule: Iterable[ScheduleOp],
     relations: Sequence[str],
 ) -> History:
-    """Execute a schedule against any transaction manager (serial
-    :class:`~repro.concurrency.manager.TransactionManager` or
-    :class:`~repro.concurrency.mvcc.MVCCManager`) and record the
-    observed history.
+    """Execute a schedule against a
+    :class:`~repro.concurrency.manager.TransactionManager` at any
+    isolation level and record the observed history.
 
     A setup transaction first installs an initial version of every
     relation.  Commit failures (:class:`ConcurrencyError`) are recorded

@@ -1,8 +1,8 @@
 """The property-based isolation checker (E20).
 
-Randomized concurrent schedules run against every manager/isolation
-pair; the observed history's DSG is checked for exactly the cycles that
-level admits.  The mutation tests then prove the checker has teeth:
+Randomized concurrent schedules run against every isolation level; the
+observed history's DSG is checked for exactly the cycles that level
+admits.  The mutation tests then prove the checker has teeth:
 disabling first-committer-wins (or passing SSI histories off as
 serializable) makes it fail with a concrete illegal cycle.
 """
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrency import MVCCManager, TransactionManager
+from repro.concurrency import ISOLATION_LEVELS, TransactionManager
 from tests.concurrency.conftest import chaos_seed
 
 from repro.workloads.histories import (
@@ -26,15 +26,7 @@ from repro.workloads.histories import (
 )
 
 RELATIONS = ("A", "B", "C")
-
-
-def make_manager(level: str):
-    if level == "serial":
-        return TransactionManager()
-    return MVCCManager(isolation=level)
-
-
-LEVELS = ("serial", "si", "ssi")
+LEVELS = ISOLATION_LEVELS
 
 
 class TestScheduleDecoding:
@@ -73,7 +65,9 @@ class TestDSG:
             ScheduleOp("commit", 1),
         ]
         for level in LEVELS:
-            history = run_schedule(make_manager(level), schedule, ("A",))
+            history = run_schedule(
+                TransactionManager(isolation=level), schedule, ("A",)
+            )
             result = check_history(history)
             assert result.ok, result
             assert not result.write_skew
@@ -85,7 +79,9 @@ class TestDSG:
             ScheduleOp("append", 1, "A"),
             ScheduleOp("commit", 1),
         ]
-        history = run_schedule(MVCCManager(), schedule, ("A",))
+        history = run_schedule(
+            TransactionManager(isolation="si"), schedule, ("A",)
+        )
         dsg = build_dsg(history)
         kinds = {(src, dst, kind) for src, dst, kind in dsg.edges}
         # setup -> t0 -> t1 in version order; each read the predecessor
@@ -103,7 +99,9 @@ class TestDSG:
             ScheduleOp("commit", 0),
             ScheduleOp("commit", 1),
         ]
-        history = run_schedule(MVCCManager(), schedule, ("A", "B"))
+        history = run_schedule(
+            TransactionManager(isolation="si"), schedule, ("A", "B")
+        )
         assert [t.status for t in history.txns] == [
             "committed",
             "committed",
@@ -123,7 +121,7 @@ class TestDSG:
         ]
         for level in ("serial", "ssi"):
             history = run_schedule(
-                make_manager(level), schedule, ("A", "B")
+                TransactionManager(isolation=level), schedule, ("A", "B")
             )
             result = check_history(history)
             assert result.ok, result
@@ -146,7 +144,7 @@ class TestRandomizedIsolation:
                 length=30,
             )
             history = run_schedule(
-                make_manager(level), schedule, RELATIONS
+                TransactionManager(isolation=level), schedule, RELATIONS
             )
             result = check_history(history)
             assert result.ok, (
@@ -164,7 +162,7 @@ class TestRandomizedIsolation:
                 length=40,
             )
             for level in LEVELS:
-                manager = make_manager(level)
+                manager = TransactionManager(isolation=level)
                 run_schedule(manager, schedule, RELATIONS)
                 assert manager.outstanding_count == 0, (
                     f"REPRO_CHAOS_SEED={base} case {case} level "
@@ -185,7 +183,9 @@ class TestMutation:
             schedule = random_schedule(
                 seed, txn_count=5, relations=RELATIONS, length=30
             )
-            manager = MVCCManager(first_committer_wins=False)
+            manager = TransactionManager(
+                isolation="si", first_committer_wins=False
+            )
             history = run_schedule(manager, schedule, RELATIONS)
             result = check_history(history)
             if not result.ok:
@@ -205,7 +205,9 @@ class TestMutation:
             ScheduleOp("commit", 0),
             ScheduleOp("commit", 1),
         ]
-        manager = MVCCManager(first_committer_wins=False)
+        manager = TransactionManager(
+            isolation="si", first_committer_wins=False
+        )
         history = run_schedule(manager, schedule, ("A",))
         result = check_history(history)
         assert not result.ok
@@ -222,7 +224,9 @@ class TestMutation:
             ScheduleOp("commit", 0),
             ScheduleOp("commit", 1),
         ]
-        history = run_schedule(MVCCManager(), schedule, ("A", "B"))
+        history = run_schedule(
+            TransactionManager(isolation="si"), schedule, ("A", "B")
+        )
         assert check_history(history, isolation="si").ok
         assert not check_history(history, isolation="ssi").ok
 
@@ -246,7 +250,7 @@ class TestHypothesisShrinking:
     ):
         relations = tuple("RSTUV"[:relation_count])
         schedule = schedule_from_choices(choices, txn_count, relations)
-        manager = make_manager(level)
+        manager = TransactionManager(isolation=level)
         history = run_schedule(manager, schedule, relations)
         result = check_history(history)
         assert result.ok, f"{result} schedule={schedule}"
@@ -264,7 +268,9 @@ class TestHypothesisShrinking:
         # (disjoint effects); compared via the DSG-checked history
         relations = ("A", "B")
         schedule = schedule_from_choices(choices, 3, relations)
-        si = run_schedule(MVCCManager(), schedule, relations)
+        si = run_schedule(
+            TransactionManager(isolation="si"), schedule, relations
+        )
         serial = run_schedule(TransactionManager(), schedule, relations)
         assert check_history(si).ok
         assert check_history(serial).ok

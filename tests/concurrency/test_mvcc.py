@@ -1,4 +1,5 @@
-"""MVCCManager: snapshot reads, first-committer-wins, SSI, pruning."""
+"""The si and ssi levels: snapshot reads, first-committer-wins, SSI,
+pruning."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from repro.concurrency import MVCCManager, TransactionStatus
+from repro.concurrency import TransactionManager, TransactionStatus
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.expressions import Const, Rollback, Union
 from repro.core.relation import RelationType
@@ -20,7 +21,7 @@ def rows(state):
 @pytest.fixture
 def manager(make_state):
     """An SI manager with rollback relations A and B installed."""
-    m = MVCCManager()
+    m = TransactionManager(isolation="si")
     setup = m.begin()
     for ident in ("A", "B"):
         setup.stage(DefineRelation(ident, RelationType.ROLLBACK))
@@ -32,10 +33,10 @@ def manager(make_state):
 class TestLifecycle:
     def test_rejects_unknown_isolation(self):
         with pytest.raises(ConcurrencyError):
-            MVCCManager(isolation="serializable")
+            TransactionManager(isolation="serializable")
 
     def test_commit_empty_transaction(self):
-        m = MVCCManager()
+        m = TransactionManager(isolation="si")
         txn = m.begin()
         database = m.commit(txn)
         assert txn.status is TransactionStatus.COMMITTED
@@ -64,6 +65,31 @@ class TestLifecycle:
         assert manager.snapshot_age() == 1
         manager.abort(old)
         assert manager.snapshot_age() == 0
+
+    def test_snapshot_age_is_the_oldest_of_any_finish_order(
+        self, manager, test_seed
+    ):
+        rng = random.Random(test_seed)
+        live = []
+        for step in range(200):
+            if live and rng.random() < 0.5:
+                txn = live.pop(rng.randrange(len(live)))
+                if rng.random() < 0.5:
+                    # a fresh relation: never conflicts, always advances
+                    txn.stage(
+                        DefineRelation(f"x{step}", RelationType.ROLLBACK)
+                    )
+                    manager.commit(txn)
+                else:
+                    manager.abort(txn)
+            else:
+                live.append(manager.begin())
+            oldest = min((t.begin_txn for t in live), default=None)
+            expected = (
+                0 if oldest is None
+                else manager.database.transaction_number - oldest
+            )
+            assert manager.snapshot_age() == expected
 
 
 class TestSnapshotReads:
@@ -202,7 +228,7 @@ class TestFirstCommitterWins:
 
     def test_mutation_knob_admits_lost_update(self, make_state):
         # the knob exists solely for the checker's mutation test
-        m = MVCCManager(first_committer_wins=False)
+        m = TransactionManager(isolation="si", first_committer_wins=False)
         setup = m.begin()
         setup.stage(DefineRelation("A", RelationType.ROLLBACK))
         setup.stage(ModifyState("A", Const(make_state("a"))))
@@ -255,7 +281,7 @@ class TestFirstCommitterWins:
 class TestSSI:
     @pytest.fixture
     def ssi(self, make_state):
-        m = MVCCManager(isolation="ssi")
+        m = TransactionManager(isolation="ssi")
         setup = m.begin()
         for ident in ("A", "B"):
             setup.stage(DefineRelation(ident, RelationType.ROLLBACK))
@@ -361,7 +387,7 @@ class TestPruning:
     def test_abort_during_apply_prunes(self, manager, make_state):
         # the aborting transaction is the oldest snapshot in an SSI
         # manager: its abort must release the retained commit records
-        ssi = MVCCManager(isolation="ssi")
+        ssi = TransactionManager(isolation="ssi")
         setup = ssi.begin()
         setup.stage(DefineRelation("A", RelationType.ROLLBACK))
         setup.stage(ModifyState("A", Const(make_state("a"))))

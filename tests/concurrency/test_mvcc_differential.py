@@ -1,11 +1,11 @@
 """Differential: MVCC vs the serial oracle, across all five backends.
 
 Transactions with non-overlapping write sets never conflict under
-first-committer-wins, and the serial :class:`TransactionManager` is the
-oracle: run the same bodies in the same commit order through both
-managers and the committed databases must be *identical* ``Database``
-values — same version chains, same transaction stamps.  The committed
-scripts are then replayed into every physical storage backend, which
+first-committer-wins, and the serial level is the oracle: run the same
+bodies in the same commit order through both levels and the committed
+databases must be *identical* ``Database`` values — same version
+chains, same transaction stamps.  The committed scripts are then
+replayed into every physical storage backend, which
 must agree with each other and with the in-memory chains at every
 ``(relation, txn)`` probe.
 """
@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.concurrency import MVCCManager, TransactionManager
+from repro.concurrency import TransactionManager
 from repro.core.commands import DefineRelation, ModifyState
 from repro.core.expressions import Const, Rollback, Union
 from repro.optimizer.equivalence import states_equal
@@ -81,7 +81,7 @@ def _bodies(make_state, seed: int, rounds: int):
 
 def _run(manager, scripted, interleave: int):
     """Drive ``scripted`` through ``manager`` with up to ``interleave``
-    transactions in flight, committing in FIFO order so both managers
+    transactions in flight, committing in FIFO order so both levels
     assign identical commit stamps."""
     in_flight = []
     committed_scripts = []
@@ -108,7 +108,7 @@ def test_disjoint_writes_identical_databases(
     make_state, test_seed, interleave
 ):
     scripted = _bodies(make_state, test_seed, rounds=3)
-    mvcc = MVCCManager()
+    mvcc = TransactionManager(isolation="si")
     serial = TransactionManager()
     _run(mvcc, scripted, interleave)
     _run(serial, scripted, interleave)
@@ -121,7 +121,7 @@ def test_committed_scripts_replay_identically_on_all_backends(
     make_state, test_seed
 ):
     scripted = _bodies(make_state, test_seed, rounds=2)
-    mvcc = MVCCManager()
+    mvcc = TransactionManager(isolation="si")
     committed = _run(mvcc, scripted, interleave=3)
     assert mvcc.abort_count == 0
 
@@ -150,7 +150,7 @@ def test_committed_scripts_replay_identically_on_all_backends(
 
 def test_ssi_disjoint_writes_also_match_oracle(make_state, test_seed):
     scripted = _bodies(make_state, test_seed + 1, rounds=2)
-    ssi = MVCCManager(isolation="ssi")
+    ssi = TransactionManager(isolation="ssi")
     serial = TransactionManager()
     _run(ssi, scripted, interleave=3)
     _run(serial, scripted, interleave=3)

@@ -147,9 +147,9 @@ class TestSchedulerCleanup:
         assert scheduler.manager.validation_log_size == 0
 
     def test_injected_mvcc_manager_is_used(self):
-        from repro.concurrency import MVCCManager
+        from repro.concurrency import TransactionManager
 
-        manager = MVCCManager()
+        manager = TransactionManager(isolation="si")
         clients = make_clients(3, 2, shared_fraction=0)
         scheduler = InterleavedScheduler(clients, seed=5, manager=manager)
         final = scheduler.run()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.concurrency import MVCCManager, TransactionManager
+from repro.concurrency import TransactionManager
 from repro.core.commands import ModifyState
 from repro.core.expressions import Const, Rollback, Union
 from repro.errors import ConcurrencyError
@@ -50,9 +50,7 @@ class TestConstruction:
             Session(shards=2, isolation="ssi")
 
     def test_manager_types(self):
-        assert isinstance(
-            Session(isolation="si").transaction_manager, MVCCManager
-        )
+        assert Session(isolation="si").transaction_manager.isolation == "si"
         assert isinstance(
             Session().transaction_manager, TransactionManager
         )
@@ -177,7 +175,7 @@ class TestServerStoreIsolation:
     def test_mvcc_write_path(self, level):
         store = ServerStore(isolation=level)
         assert store.isolation == level
-        assert isinstance(store.manager, MVCCManager)
+        assert isinstance(store.manager, TransactionManager)
         assert store.manager.isolation == level
 
     def test_mvcc_requires_plain_backing(self, tmp_path):

@@ -20,9 +20,17 @@ from repro.errors import RemoteError
 from repro.server import protocol
 from repro.server.client import ReproClient
 from repro.server.server import ServerConfig, ThreadedServer
-from repro.server.store import ensure_no_leaked_transactions
 
 STATE = "state (k: integer, v: integer) { (1, 10) }"
+
+
+def ensure_no_leaked_transactions(store) -> None:
+    """The plain backing's manager has no begun-but-unfinished
+    transaction (the disconnect regression)."""
+    manager = store.manager
+    assert manager is None or not manager.outstanding_count, (
+        f"{manager.outstanding_count} ACTIVE transaction(s) leaked"
+    )
 
 
 def _wait_for(handle, predicate, timeout=10.0):

@@ -237,6 +237,13 @@ class TestBackings:
         with pytest.raises(ServerError, match="workers"):
             ServerConfig(workers=0)
 
+    def test_unknown_isolation_rejected_at_config_time(self):
+        # caught when the config is built, before any server or session
+        with pytest.raises(ServerError, match="isolation"):
+            ServerConfig(isolation="bogus")
+        for level in ("serial", "si", "ssi"):
+            assert ServerConfig(isolation=level).isolation == level
+
 
 class TestShutdown:
     def test_draining_server_sheds_new_work_but_answers_control_ops(
