@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 
 from repro.core.commands import DefineRelation, ModifyState
+from repro.core.compile import compile_expression
+from repro.core.database import EMPTY_DATABASE
 from repro.core.expressions import Const, Rollback, Union
 from repro.core.sentences import run
 from repro.optimizer import optimize_update
@@ -127,23 +129,19 @@ def expensive_source_commands(cardinality: int, deletes: int):
     return commands
 
 
-def _memoized(commands):
-    """The same commands with CSE evaluation enabled on every
-    modify_state."""
-    out = []
+def _run_compiled(commands):
+    """``run(commands)`` with each update payload evaluated through a
+    compiled plan, which evaluates every distinct subtree once — so the
+    duplicated source is evaluated once per update."""
+    database = EMPTY_DATABASE
     for command in commands:
-        if isinstance(command, ModifyState):
-            out.append(
-                ModifyState(
-                    command.identifier,
-                    command.expression,
-                    strict=command.strict,
-                    memoize=True,
-                )
-            )
-        else:
-            out.append(command)
-    return out
+        if isinstance(command, ModifyState) and database.lookup(
+            command.identifier
+        ) is not None:
+            state = compile_expression(command.expression)(database)
+            command = ModifyState(command.identifier, Const(state))
+        database = command.execute(database)
+    return database
 
 
 def expensive_source_table(cardinalities=(400, 1200, 2400), deletes=10):
@@ -152,17 +150,16 @@ def expensive_source_table(cardinalities=(400, 1200, 2400), deletes=10):
     for cardinality in cardinalities:
         commands = expensive_source_commands(cardinality, deletes)
         optimized = [optimize_update(c, catalog) for c in commands]
-        memoized = _memoized(commands)
-        assert run(commands) == run(optimized) == run(memoized)
+        assert run(commands) == run(optimized) == _run_compiled(commands)
         naive_seconds = _time(lambda: run(commands))
         optimized_seconds = _time(lambda: run(optimized))
-        memoized_seconds = _time(lambda: run(memoized))
+        compiled_seconds = _time(lambda: _run_compiled(commands))
         rows.append(
             (
                 cardinality,
                 naive_seconds,
                 optimized_seconds,
-                memoized_seconds,
+                compiled_seconds,
             )
         )
     return rows
@@ -189,17 +186,17 @@ def report() -> str:
         "naive form evaluates it twice):"
     )
     lines.append(
-        f"  {'|R|':>6s} {'naive':>9s} {'rewrite':>9s} {'CSE eval':>9s}"
+        f"  {'|R|':>6s} {'naive':>9s} {'rewrite':>9s} {'compiled':>9s}"
     )
-    for cardinality, naive_s, opt_s, memo_s in expensive_source_table():
+    for cardinality, naive_s, opt_s, compiled_s in expensive_source_table():
         lines.append(
             f"  {cardinality:6d} {naive_s * 1e3:6.1f} ms "
-            f"{opt_s * 1e3:6.1f} ms {memo_s * 1e3:6.1f} ms"
+            f"{opt_s * 1e3:6.1f} ms {compiled_s * 1e3:6.1f} ms"
         )
     lines.append(
         "  shape: with compiled predicates and C-level set difference, "
-        "the delete rewrite is ~neutral; common-subexpression "
-        "evaluation (memoize=True) attacks the duplicated source "
+        "the delete rewrite is ~neutral; the compiled engine's "
+        "common-subexpression sharing attacks the duplicated source "
         "directly — update optimization is investigable, exactly as "
         "the paper promises"
     )

@@ -9,7 +9,7 @@ from repro.errors import ConcurrencyError
 from repro.core.commands import Command, DefineRelation, ModifyState
 from repro.core.commands import Sequence as CommandSequence
 from repro.core.database import Database
-from repro.core.expressions import Expression
+from repro.core.expressions import Expression, Rollback, subtrees
 
 __all__ = ["TransactionStatus", "Transaction"]
 
@@ -33,15 +33,11 @@ def _written_identifiers(command: Command) -> frozenset[str]:
 
 
 def _read_identifiers_of_expression(expression: Expression) -> frozenset[str]:
-    from repro.core.expressions import Rollback
-
-    if isinstance(expression, Rollback):
-        found = frozenset({expression.identifier})
-    else:
-        found = frozenset()
-    for child in expression.children():
-        found |= _read_identifiers_of_expression(child)
-    return found
+    return frozenset(
+        node.identifier
+        for node in subtrees(expression)
+        if isinstance(node, Rollback)
+    )
 
 
 def _read_identifiers(command: Command) -> frozenset[str]:

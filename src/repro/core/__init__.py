@@ -36,7 +36,6 @@ from repro.core.expressions import (
     Select,
     Union,
     evaluate,
-    evaluate_memoized,
 )
 from repro.core.commands import (
     Command,
@@ -74,7 +73,6 @@ __all__ = [
     "Select",
     "Union",
     "evaluate",
-    "evaluate_memoized",
     "Command",
     "DefineRelation",
     "ModifyState",

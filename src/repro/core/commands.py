@@ -134,14 +134,13 @@ class ModifyState(Command):
     obtained by choosing ``E`` appropriately — see :mod:`repro.quel`.
     """
 
-    __slots__ = ("identifier", "expression", "strict", "memoize")
+    __slots__ = ("identifier", "expression", "strict")
 
     def __init__(
         self,
         identifier: str,
         expression: Expression,
         strict: bool = False,
-        memoize: bool = False,
     ) -> None:
         if not identifier or not isinstance(identifier, str):
             raise CommandError(
@@ -154,10 +153,6 @@ class ModifyState(Command):
         self.identifier = identifier
         self.expression = expression
         self.strict = strict
-        #: Evaluate the expression with common-subexpression elimination
-        #: (observationally identical; helpful for update expressions
-        #: that repeat a large source subtree, e.g. E − σ_F(E)).
-        self.memoize = memoize
 
     def execute(self, database: Database) -> Database:
         relation = database.lookup(self.identifier)
@@ -169,12 +164,7 @@ class ModifyState(Command):
             return database
         # E is evaluated against the database *before* the change; the new
         # state is stamped with transaction number n + 1.
-        if self.memoize:
-            from repro.core.expressions import evaluate_memoized
-
-            new_state = evaluate_memoized(self.expression, database)
-        else:
-            new_state = self.expression.evaluate(database)
+        new_state = self.expression.evaluate(database)
         rtype = find_type(relation, database.transaction_number)
         new_state = self._resolve_empty_set(relation, rtype, new_state)
         self._check_state_kind(rtype, new_state)

@@ -9,21 +9,22 @@ changes between calls.
 
 :func:`compile_expression` flattens a tree once into a
 :class:`CompiledPlan` — a topologically ordered list of *steps*, one per
-**distinct** subtree (common subexpressions are hash-consed away, the
-same sharing :func:`~repro.core.expressions.evaluate_memoized` discovers
-per call, discovered here once at compile time).  Each composite step
-captures its :data:`~repro.core.expressions.NODE_HANDLERS` handler at
-compile time, so executing a plan is a tight loop of pre-resolved
-callables over a value array — no per-call isinstance chains, no
-recursion, no dictionary probes.
+**distinct** subtree in :func:`~repro.core.expressions.subtrees` order
+(common subexpressions are hash-consed away, so a shared subtree is
+evaluated once per call however often the tree repeats it).  Each
+composite step captures its :data:`~repro.core.expressions.NODE_HANDLERS`
+handler at compile time, so executing a plan is a tight loop of
+pre-resolved callables over a value array — no per-call isinstance
+chains, no recursion, no dictionary probes.
 
-Because every step dispatches through the same handler table as
-:func:`~repro.core.expressions.apply_node`, a compiled plan is
-observation-equivalent to ``evaluate`` by construction (the paper's C6:
-any physical evaluation strategy is correct iff observation-equivalent
-to the simple semantics); the differential suite in
+This is the one engine that serves reads; each node's own ``evaluate``
+is the paper-literal oracle beside it.  A compiled plan is
+observation-equivalent to ``evaluate`` (the paper's C6: any physical
+evaluation strategy is correct iff observation-equivalent to the simple
+semantics); the differential suite in
 ``tests/optimizer/test_compiled_differential.py`` checks it over all
-five storage backends.
+five storage backends, and :func:`repro.obsv.trace.trace_evaluate`
+times the same steps for EXPLAIN ANALYZE.
 
 Compilation and execution are both iterative (explicit stack / flat
 loop), so plans for trees deeper than the Python recursion limit — the
@@ -40,6 +41,7 @@ from repro.core.expressions import (
     NODE_HANDLERS,
     Expression,
     State,
+    subtrees,
 )
 
 __all__ = ["CompiledPlan", "compile_expression"]
@@ -72,6 +74,17 @@ class CompiledPlan:
         self.expression = expression
         self._steps = steps
         self._n_nodes = n_nodes
+
+    @property
+    def steps(
+        self,
+    ) -> "tuple[tuple[Callable | None, Expression, tuple[int, ...]], ...]":
+        """The plan's ``(handler, node, operand slots)`` steps, in
+        execution order.  ``handler`` is ``None`` for a leaf, which
+        evaluates itself; otherwise the step's value is
+        ``handler(node, [values[slot] for slot in operand slots],
+        database)``."""
+        return tuple(self._steps)
 
     @property
     def step_count(self) -> int:
@@ -122,30 +135,15 @@ def compile_expression(
 
     The plan assigns one step per distinct subtree (expressions are
     immutable, hashable values, so equal subtrees denote the same state
-    within one evaluation — the property ``evaluate_memoized`` relies
-    on) and resolves each composite node's handler once.  The returned
-    plan is a pure function of the database argument and can be cached
-    and reused across evaluations; the Session plan cache stores one per
-    normalized query text.
+    within one evaluation) and resolves each composite node's handler
+    once.  The returned plan is a pure function of the database argument
+    and can be cached and reused across evaluations; the Session plan
+    cache stores one per normalized query text.
     """
     slots: dict[Expression, int] = {}
     steps: list = []
-
-    # Iterative post-order: (node, children_pushed) frames.
-    stack: list[tuple[Expression, bool]] = [(expression, False)]
-    while stack:
-        node, children_pushed = stack.pop()
-        if node in slots:
-            continue
+    for node in subtrees(expression):
         handler = NODE_HANDLERS.get(type(node))
-        if not children_pushed and handler is not None:
-            stack.append((node, True))
-            for child in node.children():
-                if child not in slots:
-                    stack.append((child, False))
-            continue
-        if node in slots:  # a duplicate frame finished first
-            continue
         if handler is None:
             steps.append((None, node, ()))
         else:

@@ -22,12 +22,23 @@ paper), differing only in the underlying state algebra.  Mixing a snapshot
 state with an historical state in one operator is an error.
 
 Every node is immutable and hashable, so the optimizer can rewrite
-expression trees and memoize safely.
+expression trees and equal subtrees can share one evaluation.  A node
+owns its shape: :meth:`Expression.children` takes it apart and
+:meth:`Expression.with_children` rebuilds it over new operands, and
+:func:`subtrees` walks each distinct subtree of a tree once, children
+before parents.  The compiler, cost model, rewriter, ``as_of``, the
+shard router and transaction read sets take trees apart and rebuild
+them only through these three, so none repeats a per-node-type chain.
+
+Each node's ``evaluate`` is the paper-literal oracle.  The engine that
+serves reads is :mod:`repro.core.compile`, which runs the
+:data:`NODE_HANDLERS` table once per distinct subtree; tests hold the
+two observation-equivalent (the paper's C6).
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Union as TypingUnion
+from typing import Any, Iterator, Sequence, Union as TypingUnion
 
 from repro.errors import ExpressionError, RelationTypeError
 from repro.core.database import Database
@@ -68,9 +79,8 @@ __all__ = [
     "Derive",
     "Rollback",
     "NODE_HANDLERS",
-    "apply_node",
     "evaluate",
-    "evaluate_memoized",
+    "subtrees",
 ]
 
 State = TypingUnion[SnapshotState, HistoricalState]
@@ -138,6 +148,14 @@ class Expression:
     def children(self) -> tuple["Expression", ...]:
         """Immediate sub-expressions, for tree walks and the optimizer."""
         return ()
+
+    def with_children(
+        self, children: Sequence["Expression"]
+    ) -> "Expression":
+        """This node over new children, aligned with :meth:`children`;
+        every other field is kept.  Leaves have no children and return
+        themselves."""
+        return self
 
     # -- operator sugar for building expression trees ------------------------
 
@@ -225,6 +243,9 @@ class Union(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[Expression]) -> "Union":
+        return Union(*children)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Union)
@@ -269,6 +290,9 @@ class Difference(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[Expression]) -> "Difference":
+        return Difference(*children)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Difference)
@@ -311,6 +335,9 @@ class Product(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[Expression]) -> "Product":
+        return Product(*children)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Product)
@@ -349,6 +376,9 @@ class Project(Expression):
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
 
+    def with_children(self, children: Sequence[Expression]) -> "Project":
+        return Project(children[0], self.names)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Project)
@@ -386,6 +416,9 @@ class Select(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
+
+    def with_children(self, children: Sequence[Expression]) -> "Select":
+        return Select(children[0], self.predicate)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -429,6 +462,9 @@ class Rename(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
+
+    def with_children(self, children: Sequence[Expression]) -> "Rename":
+        return Rename(children[0], self.mapping)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -480,6 +516,9 @@ class Derive(Expression):
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
+
+    def with_children(self, children: Sequence[Expression]) -> "Derive":
+        return Derive(children[0], self.predicate, self.expression)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -570,21 +609,6 @@ def evaluate(expression: Expression, database: Database) -> State:
     return expression.evaluate(database)
 
 
-#: Node types whose result is a pure function of their operand values —
-#: exactly the nodes :func:`apply_node` can compute from pre-evaluated
-#: children.  Leaves (``Const``, ``Rollback``) and unknown node types are
-#: evaluated through their own ``evaluate``.
-_COMPOSITE_NODES = (
-    Union,
-    Difference,
-    Product,
-    Project,
-    Select,
-    Rename,
-    Derive,
-)
-
-
 def _apply_union(node: Union, operands: Sequence[Any], database: Database):
     l, r = operands
     if is_empty_set(l):
@@ -669,16 +693,19 @@ def _apply_derive(node: Derive, operands: Sequence[Any], database: Database):
         return EMPTY_SET
     inner = _require_state(inner, node)
     if not isinstance(inner, HistoricalState):
-        raise ExpressionError("δ applies only to historical states")
+        raise ExpressionError(
+            "δ applies only to historical states; its operand "
+            "evaluated to a snapshot state"
+        )
     return historical_derive(inner, node.predicate, node.expression)
 
 
 #: Per-type handlers computing a composite node's result from its
-#: pre-evaluated operand values.  This table is the single source of
-#: truth shared by :func:`apply_node`, :func:`evaluate_memoized` and the
-#: compiled engine (:mod:`repro.core.compile`): the compiler resolves a
-#: node's handler once at compile time, so compiled plans cannot drift
-#: from the interpreted semantics.
+#: pre-evaluated operand values: the compiled engine
+#: (:mod:`repro.core.compile`) resolves a node's handler once at compile
+#: time, and the shard router merges cross-shard operands through the
+#: same table.  Leaves (``Const``, ``Rollback``) have no entry; they
+#: evaluate themselves.
 NODE_HANDLERS = {
     Union: _apply_union,
     Difference: _apply_difference,
@@ -690,65 +717,30 @@ NODE_HANDLERS = {
 }
 
 
-def apply_node(
-    node: Expression, operands: Sequence[Any], database: Database
-):
-    """Compute ``node``'s result from already-evaluated operand values.
+def subtrees(expression: Expression) -> Iterator[Expression]:
+    """Each distinct subtree of ``expression`` once, children before
+    parents, the root last.
 
-    ``operands`` must align with ``node.children()``.  For leaves (and
-    any node type outside :data:`NODE_HANDLERS`) the node's own
-    ``evaluate`` is used.  This is the single dispatch point shared by
-    :func:`evaluate_memoized`, the compiled engine and the tracing
-    evaluator in :mod:`repro.obsv.trace`, so the evaluation strategies
-    cannot drift apart semantically.
+    Iterative (an explicit stack), so chains deeper than the Python
+    recursion limit — the shape the Quel translator emits for long
+    conjunctions — walk fine.  Equal subtrees are yielded once, so a
+    DAG-shaped tree costs time linear in its distinct subtrees, not in
+    its (possibly exponential) number of tree positions.
     """
-    handler = NODE_HANDLERS.get(type(node))
-    if handler is not None:
-        return handler(node, operands, database)
-    # leaves (Const, Rollback) and any future node types
-    return node.evaluate(database)
-
-
-#: Sentinel distinguishing "not cached" from any cached value (including
-#: falsy states and the untyped ∅) in :func:`evaluate_memoized`.
-_MEMO_MISSING = object()
-
-
-def evaluate_memoized(expression: Expression, database: Database):
-    """**E** with common-subexpression elimination.
-
-    Expressions are immutable, hashable values and evaluation is pure, so
-    within one evaluation every occurrence of an equal subtree denotes
-    the same state.  This evaluator caches results per subtree: a query
-    like ``E − σ_F(E)`` evaluates ``E`` once however large it is.
-
-    Observationally identical to :func:`evaluate` (property-tested);
-    worth using when expression trees share large subtrees — e.g. the
-    update expressions the Quel translator emits.
-    """
-    cache: dict[Expression, Any] = {}
-
-    def walk(node: Expression):
-        # Single sentinel-based lookup: a cached result may be falsy
-        # (the ∅ marker, an empty state) or even None (a hypothetical
-        # third-party node), and must still count as exactly one hit.
-        cached = cache.get(node, _MEMO_MISSING)
-        if cached is not _MEMO_MISSING:
-            if _OBSERVER is not None:
-                _OBSERVER.memo_hit()
-            return cached
-        if _OBSERVER is not None:
-            _OBSERVER.memo_miss()
-        if isinstance(node, _COMPOSITE_NODES):
-            operands = [walk(child) for child in node.children()]
-            if _OBSERVER is not None:
-                _OBSERVER.node()
-            result = apply_node(node, operands, database)
+    seen: set[Expression] = set()
+    stack: list = [expression]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the parent below has all its children done
+            node = stack.pop()
         else:
-            # leaves and unknown node types count themselves (their
-            # ``evaluate`` fires the observer hook)
-            result = node.evaluate(database)
-        cache[node] = result
-        return result
-
-    return walk(expression)
+            children = node.children()
+            if children:
+                if node not in seen:
+                    stack += (node, None, *children)
+                continue
+        # one hash per add: a subtree already seen leaves the size alone
+        size = len(seen)
+        seen.add(node)
+        if len(seen) != size:
+            yield node

@@ -15,7 +15,7 @@ the grammar's stability instead of inventing a new AST encoding:
 
     {"op": "define", "id": "r", "rtype": "rollback", "strict": false}
     {"op": "modify", "id": "r", "expr": "(rollback(r, now) union ...)",
-     "strict": false, "memoize": false}
+     "strict": false}
     {"op": "seq", "commands": [ ... ]}
 
 A full WAL record adds the transaction number the command *committed*
@@ -64,7 +64,6 @@ def command_to_dict(command: Command) -> dict[str, Any]:
             "id": command.identifier,
             "expr": format_expression(command.expression),
             "strict": command.strict,
-            "memoize": command.memoize,
         }
     if isinstance(command, Sequence):
         commands: list[dict[str, Any]] = []
@@ -102,11 +101,13 @@ def command_from_dict(payload: dict[str, Any]) -> Command:
         if op == "modify":
             from repro.lang.parser import parse_expression
 
+            # records written by earlier versions also carry a
+            # "memoize" flag; it never changed the result, so it is
+            # ignored and those logs still replay
             return ModifyState(
                 payload["id"],
                 parse_expression(payload["expr"]),
                 strict=bool(payload.get("strict", False)),
-                memoize=bool(payload.get("memoize", False)),
             )
         if op == "seq":
             from repro.core.commands import sequence

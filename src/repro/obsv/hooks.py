@@ -49,13 +49,11 @@ class ExpressionObserver:
     """Per-event callbacks the expression evaluator fires when metrics
     are enabled.  Counters are resolved once, at installation."""
 
-    __slots__ = ("_nodes", "_rollbacks", "_memo_hits", "_memo_misses")
+    __slots__ = ("_nodes", "_rollbacks")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self._nodes = registry.counter("expr.nodes_evaluated")
         self._rollbacks = registry.counter("expr.rollback_evaluations")
-        self._memo_hits = registry.counter("expr.memo_hits")
-        self._memo_misses = registry.counter("expr.memo_misses")
 
     def node(self) -> None:
         """An expression node was evaluated."""
@@ -65,14 +63,6 @@ class ExpressionObserver:
         """A ``ρ(I, N)`` leaf was evaluated — the fan-out of reads an
         expression issues against relation histories."""
         self._rollbacks.inc()
-
-    def memo_hit(self) -> None:
-        """``evaluate_memoized`` served a subtree from its cache."""
-        self._memo_hits.inc()
-
-    def memo_miss(self) -> None:
-        """``evaluate_memoized`` had to compute a subtree."""
-        self._memo_misses.inc()
 
 
 class EngineObserver:

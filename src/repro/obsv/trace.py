@@ -1,12 +1,13 @@
 """EXPLAIN-style traces: the operator tree with per-node timings.
 
-:func:`trace_evaluate` evaluates an expression the same way
-``evaluate_memoized`` would — structural recursion over ``children()``
-with :func:`repro.core.expressions.apply_node` doing each node's own
-work — but records, per node, the wall-clock cost of that node's *local*
-work (excluding children), the cumulative subtree cost, and the result
-cardinality.  Because both evaluators share ``apply_node``, the trace is
-the real evaluation, not a re-implementation that could drift.
+:func:`trace_evaluate` compiles an expression with
+:func:`repro.core.compile.compile_expression` — the engine that serves
+reads — and runs that plan's steps one at a time, recording per step
+the wall-clock cost of the node's *local* work (excluding children),
+the cumulative subtree cost, and the result cardinality.  The trace is
+the real evaluation, not a re-implementation that could drift: each
+step calls the handler the plan resolved.  A subtree the tree repeats
+is one step, run once; its trace node appears under every parent.
 
 :func:`trace_command` runs a command and attaches the expression trace of
 its ``modify_state`` payload; :func:`format_trace` renders either as an
@@ -32,13 +33,9 @@ from repro.core.commands import (
     ModifyState,
     Sequence as CommandSequence,
 )
+from repro.core.compile import compile_expression
 from repro.core.database import Database
-from repro.core.expressions import (
-    _COMPOSITE_NODES,
-    Expression,
-    apply_node,
-    is_empty_set,
-)
+from repro.core.expressions import Expression, is_empty_set
 
 __all__ = [
     "ExpressionTrace",
@@ -154,33 +151,33 @@ def trace_evaluate(
     ``(result, trace)``.
 
     The result is exactly what ``expression.evaluate(database)`` returns
-    (same ``apply_node`` dispatch); the trace is the operator tree with
-    per-node timings and cardinalities.
+    (the compiled plan is observation-equivalent to it); the trace is
+    the operator tree with per-step timings and cardinalities.
     """
-    if isinstance(expression, _COMPOSITE_NODES):
-        child_traces: list[ExpressionTrace] = []
-        operands = []
-        for child in expression.children():
-            value, child_trace = trace_evaluate(child, database)
-            operands.append(value)
-            child_traces.append(child_trace)
+    values: list = []
+    traces: list[ExpressionTrace] = []
+    for handler, node, operand_slots in compile_expression(
+        expression
+    ).steps:
         start = time.perf_counter()
-        result = apply_node(expression, operands, database)
+        if handler is None:
+            result = node.evaluate(database)
+        else:
+            result = handler(
+                node, [values[slot] for slot in operand_slots], database
+            )
         elapsed = time.perf_counter() - start
-    else:
-        child_traces = []
-        start = time.perf_counter()
-        result = expression.evaluate(database)
-        elapsed = time.perf_counter() - start
-    rows = None if is_empty_set(result) else len(result)  # type: ignore[arg-type]
-    trace = ExpressionTrace(
-        type(expression).__name__,
-        _node_detail(expression),
-        rows,
-        elapsed,
-        child_traces,
-    )
-    return result, trace
+        values.append(result)
+        traces.append(
+            ExpressionTrace(
+                type(node).__name__,
+                _node_detail(node),
+                None if is_empty_set(result) else len(result),  # type: ignore[arg-type]
+                elapsed,
+                [traces[slot] for slot in operand_slots],
+            )
+        )
+    return values[-1], traces[-1]
 
 
 def trace_command(

@@ -40,6 +40,7 @@ from repro.core.expressions import (
     Rollback,
     Select,
     Union,
+    subtrees,
 )
 
 __all__ = [
@@ -113,10 +114,10 @@ def analyze(
 ) -> PlanAnalysis:
     """Price every distinct subtree in one bottom-up pass.
 
-    Iterative post-order (explicit stack), so arbitrarily deep chains —
-    the shape the Quel translator emits for long conjunctions — analyze
-    without recursion and in time linear in the number of distinct
-    subtrees.
+    Walks :func:`~repro.core.expressions.subtrees`, so arbitrarily deep
+    chains — the shape the Quel translator emits for long conjunctions —
+    analyze without recursion and in time linear in the number of
+    distinct subtrees.
     """
     stats = stats if stats is not None else {}
     version_count = getattr(stats, "version_count", None)
@@ -124,20 +125,8 @@ def analyze(
     costs: dict = {}
     visits = 0
 
-    stack: "list[tuple[Expression, bool]]" = [(expression, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node in cards:
-            continue
+    for node in subtrees(expression):
         children = node.children()
-        if not children_done and children:
-            stack.append((node, True))
-            for child in children:
-                if child not in cards:
-                    stack.append((child, False))
-            continue
-        if node in cards:  # a duplicate frame finished first
-            continue
         visits += 1
         card = _node_cardinality(node, children, cards, stats)
         cost = card + sum(costs[child] for child in children)

@@ -21,16 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.errors import SchemaError
-from repro.core.expressions import (
-    Derive,
-    Difference,
-    Expression,
-    Product,
-    Project,
-    Rename,
-    Select,
-    Union,
-)
+from repro.core.expressions import Expression, subtrees
 from repro.optimizer.cost import Stats, estimate_cost
 from repro.optimizer.rules import (
     CombineSelects,
@@ -78,51 +69,15 @@ class Rewriter:
     def _rewrite_once(self, expression: Expression) -> Expression:
         """One bottom-up pass: rewrite children first, then try each rule
         at this node (first applicable rule wins)."""
-        rebuilt = self._rebuild(expression)
+        rebuilt = expression.with_children(
+            [self._rewrite_once(child) for child in expression.children()]
+        )
         for rule in self._rules:
             result = rule.apply(rebuilt, self._catalog)
             if result is not None and result != rebuilt:
                 self.trace.append((rule.name, repr(rebuilt), repr(result)))
                 return result
         return rebuilt
-
-    def _rebuild(self, expression: Expression) -> Expression:
-        """Rewrite the children, preserving this node."""
-        if isinstance(expression, Union):
-            return Union(
-                self._rewrite_once(expression.left),
-                self._rewrite_once(expression.right),
-            )
-        if isinstance(expression, Difference):
-            return Difference(
-                self._rewrite_once(expression.left),
-                self._rewrite_once(expression.right),
-            )
-        if isinstance(expression, Product):
-            return Product(
-                self._rewrite_once(expression.left),
-                self._rewrite_once(expression.right),
-            )
-        if isinstance(expression, Project):
-            return Project(
-                self._rewrite_once(expression.operand), expression.names
-            )
-        if isinstance(expression, Select):
-            return Select(
-                self._rewrite_once(expression.operand),
-                expression.predicate,
-            )
-        if isinstance(expression, Rename):
-            return Rename(
-                self._rewrite_once(expression.operand), expression.mapping
-            )
-        if isinstance(expression, Derive):
-            return Derive(
-                self._rewrite_once(expression.operand),
-                expression.predicate,
-                expression.expression,
-            )
-        return expression
 
 
 def optimize(
@@ -221,7 +176,7 @@ class CostGuidedRewriter:
 
     def _improve_once(self, best, best_cost, observer):
         """Try every (node, rule) pair; commit the first cost drop."""
-        for node in _postorder(best):
+        for node in subtrees(best):
             for rule in self._greedy_rules:
                 try:
                     rewritten = rule.apply(node, self._catalog)
@@ -250,29 +205,6 @@ def optimize_with_cost(
     return CostGuidedRewriter(rules, catalog, stats).rewrite(expression)
 
 
-def _postorder(expression: Expression) -> "list[Expression]":
-    """Distinct subtrees, children before parents, iteratively."""
-    order: list = []
-    seen: set = set()
-    stack: "list[tuple[Expression, bool]]" = [(expression, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node in seen:
-            continue
-        children = node.children()
-        if not children_done and children:
-            stack.append((node, True))
-            for child in children:
-                if child not in seen:
-                    stack.append((child, False))
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        order.append(node)
-    return order
-
-
 def _substitute(
     root: Expression, target: Expression, replacement: Expression
 ) -> Expression:
@@ -280,47 +212,13 @@ def _substitute(
     sharing rebuilt subtrees, so deep chains neither recurse nor blow up
     on DAG-shaped trees)."""
     memo: "dict[Expression, Expression]" = {target: replacement}
-    stack: "list[tuple[Expression, bool]]" = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
+    for node in subtrees(root):
         if node in memo:
             continue
         children = node.children()
-        if not children_done and children:
-            stack.append((node, True))
-            for child in children:
-                if child not in memo:
-                    stack.append((child, False))
-            continue
-        if node in memo:
-            continue
-        if not children:
-            memo[node] = node
-            continue
         new_children = tuple(memo[child] for child in children)
         if new_children == children:
             memo[node] = node
         else:
-            memo[node] = _with_children(node, new_children)
+            memo[node] = node.with_children(new_children)
     return memo[root]
-
-
-def _with_children(
-    node: Expression, children: "tuple[Expression, ...]"
-) -> Expression:
-    """A copy of ``node`` over new children."""
-    if isinstance(node, Union):
-        return Union(children[0], children[1])
-    if isinstance(node, Difference):
-        return Difference(children[0], children[1])
-    if isinstance(node, Product):
-        return Product(children[0], children[1])
-    if isinstance(node, Project):
-        return Project(children[0], node.names)
-    if isinstance(node, Select):
-        return Select(children[0], node.predicate)
-    if isinstance(node, Rename):
-        return Rename(children[0], node.mapping)
-    if isinstance(node, Derive):
-        return Derive(children[0], node.predicate, node.expression)
-    return node

@@ -14,14 +14,19 @@ received, so ``ρ(I, N)`` is rewritten to the shard-local numeral that
 selects the same state the global ``N`` selects in the unsharded
 semantics.
 
-Cross-shard nodes are merged with
-:func:`repro.core.expressions.apply_node` — the *same* dispatch point
-the memoizing and tracing evaluators use — so the coordinator's merge of
+Cross-shard nodes are merged through
+:data:`repro.core.expressions.NODE_HANDLERS` — the *same* handler table
+the compiled engine runs — so the coordinator's merge of
 ``∪``/``−``/``×``/``σ``/``π`` cannot drift from the paper's operator
 semantics.  The algebra-identity property suite
 (``tests/sharding/test_algebra_identities.py``) additionally verifies
 the identities this decomposition relies on (commutativity/associativity
 of ``∪``, distribution of ``σ`` over ``×``).
+
+The routing analyses (:meth:`ScatterGatherRouter.shards_of`,
+:meth:`~ScatterGatherRouter.is_local`) walk each distinct subtree once
+(:func:`~repro.core.expressions.subtrees`), so trees that share
+subtrees cost time linear in their distinct subtrees.
 """
 
 from __future__ import annotations
@@ -29,40 +34,15 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.expressions import (
-    Derive,
-    Difference,
+    NODE_HANDLERS,
     Expression,
-    Product,
-    Project,
-    Rename,
     Rollback,
-    Select,
-    Union,
-    apply_node,
+    subtrees,
 )
 from repro.core.txn import Numeral, is_now
 from repro.obsv import hooks as _hooks
 
 __all__ = ["ScatterGatherRouter"]
-
-
-def _rebuild(node: Expression, children: list[Expression]) -> Expression:
-    """A structurally identical node over new children."""
-    if isinstance(node, Union):
-        return Union(children[0], children[1])
-    if isinstance(node, Difference):
-        return Difference(children[0], children[1])
-    if isinstance(node, Product):
-        return Product(children[0], children[1])
-    if isinstance(node, Project):
-        return Project(children[0], node.names)
-    if isinstance(node, Select):
-        return Select(children[0], node.predicate)
-    if isinstance(node, Rename):
-        return Rename(children[0], node.mapping)
-    if isinstance(node, Derive):
-        return Derive(children[0], node.predicate, node.expression)
-    return node
 
 
 class ScatterGatherRouter:
@@ -93,12 +73,11 @@ class ScatterGatherRouter:
     def shards_of(self, expression: Expression) -> frozenset[int]:
         """The set of shard indices the expression's rollback leaves
         touch (∅ for constant-only expressions)."""
-        if isinstance(expression, Rollback):
-            return frozenset((self._owner_of(expression.identifier),))
-        shards: frozenset[int] = frozenset()
-        for child in expression.children():
-            shards |= self.shards_of(child)
-        return shards
+        return frozenset(
+            self._owner_of(node.identifier)
+            for node in subtrees(expression)
+            if isinstance(node, Rollback)
+        )
 
     def is_local(self, expression: Expression, shard: int) -> bool:
         """True iff the expression can ship to ``shard`` *untouched*:
@@ -106,13 +85,10 @@ class ScatterGatherRouter:
         recent state (``now``), so no numeral translation is needed and
         the paper's exact command-expression text can be logged in the
         shard's WAL."""
-        if isinstance(expression, Rollback):
-            return is_now(expression.numeral) and (
-                self._owner_of(expression.identifier) == shard
-            )
         return all(
-            self.is_local(child, shard)
-            for child in expression.children()
+            is_now(node.numeral) and self._owner_of(node.identifier) == shard
+            for node in subtrees(expression)
+            if isinstance(node, Rollback)
         )
 
     # -- rewriting --------------------------------------------------------
@@ -132,13 +108,11 @@ class ScatterGatherRouter:
             if local == expression.numeral:
                 return expression
             return Rollback(expression.identifier, local)
-        children = list(expression.children())
-        if not children:
-            return expression
+        children = expression.children()
         rewritten = [self.localize(child, shard) for child in children]
         if all(a is b for a, b in zip(rewritten, children)):
             return expression
-        return _rebuild(expression, rewritten)
+        return expression.with_children(rewritten)
 
     # -- evaluation -------------------------------------------------------
 
@@ -162,9 +136,9 @@ class ScatterGatherRouter:
         observer = _hooks.shard_observer()
         if observer is not None:
             observer.merge()
-        # merging is pure — apply_node only consults the database for
-        # leaves, and leaves are always single-shard (handled above)
-        return apply_node(expression, operands, None)
+        # merging is pure — the handlers never consult the database
+        # (only leaves do, and leaves are always single-shard, above)
+        return NODE_HANDLERS[type(expression)](expression, operands, None)
 
     def fanout(self, expression: Expression) -> int:
         """How many shards a top-level evaluation touches (≥ 1; a

@@ -27,7 +27,7 @@ mirror:
 * **reads scatter-gather**: single-shard subtrees evaluate on their
   shard (through its backend mirror when attached); cross-shard
   ``∪``/``−``/``×`` merge at the coordinator through
-  :func:`repro.core.expressions.apply_node`.
+  :data:`repro.core.expressions.NODE_HANDLERS`.
 
 Coordinator metadata (owner map, per-identifier global transaction
 numbers, the global counter) lives in memory and — when the database
@@ -63,6 +63,7 @@ from repro.core.expressions import (
     Expression,
     Rollback,
     is_empty_set,
+    subtrees,
 )
 from repro.core.relation import EMPTY_STATE, Relation
 from repro.core.txn import NOW, Numeral, TransactionNumber, is_now
@@ -112,13 +113,10 @@ def _only_now_and_self(expression: Expression, identifier: str) -> bool:
     shape whose replay is independent of absolute transaction numbers,
     so the command may be re-executed on a shard with a different local
     counter and still rebuild the same states."""
-    if isinstance(expression, Rollback):
-        return expression.identifier == identifier and is_now(
-            expression.numeral
-        )
     return all(
-        _only_now_and_self(child, identifier)
-        for child in expression.children()
+        node.identifier == identifier and is_now(node.numeral)
+        for node in subtrees(expression)
+        if isinstance(node, Rollback)
     )
 
 
@@ -605,7 +603,6 @@ class ShardedDatabase:
                 command.identifier,
                 self._router.localize(command.expression, owner),
                 strict=command.strict,
-                memoize=command.memoize,
             )
             applied = self._journal_execute(
                 owner, "modify", command.identifier, shipped

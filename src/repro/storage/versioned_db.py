@@ -23,7 +23,6 @@ from repro.core.commands import Sequence as CommandSequence
 from repro.core.expressions import (
     EMPTY_SET,
     Expression,
-    evaluate_memoized,
     is_empty_set,
 )
 from repro.obsv import registry as _obsv
@@ -130,10 +129,8 @@ class VersionedDatabase:
 
         Mirrors :meth:`repro.core.commands.Command.execute` exactly —
         including the ``strict`` escape hatch (raise instead of the
-        paper's silent no-op) and ``memoize`` (evaluate the update
-        expression with common-subexpression elimination) — so that the
-        physical path stays observation-equivalent to the pure
-        semantics, flags included.
+        paper's silent no-op) — so that the physical path stays
+        observation-equivalent to the pure semantics, flags included.
         """
         if isinstance(command, CommandSequence):
             self.execute(command.first)
@@ -160,11 +157,9 @@ class VersionedDatabase:
                         "defined"
                     )
                 return  # paper semantics: no-op on an unbound identifier
-            if command.memoize:
-                state = self.evaluate_memoized(command.expression)
-            else:
-                state = self.evaluate(command.expression)
-            self.set_state(command.identifier, state)
+            self.set_state(
+                command.identifier, self.evaluate(command.expression)
+            )
             return
         raise CommandError(f"cannot execute command {command!r}")
 
@@ -217,14 +212,6 @@ class VersionedDatabase:
         (the semantic function **E** over the backend)."""
         return expression.evaluate(
             _BackendDatabaseView(self._backend, self._txn)  # type: ignore[arg-type]
-        )
-
-    def evaluate_memoized(self, expression: Expression):
-        """**E** over the backend with common-subexpression elimination
-        (the ``ModifyState.memoize`` evaluation mode)."""
-        return evaluate_memoized(
-            expression,
-            _BackendDatabaseView(self._backend, self._txn),  # type: ignore[arg-type]
         )
 
     def state_at(

@@ -6,18 +6,7 @@ from typing import Optional
 
 from repro.errors import ExpressionError
 from repro.core.database import Database
-from repro.core.expressions import (
-    Const,
-    Derive,
-    Difference,
-    Expression,
-    Product,
-    Project,
-    Rename,
-    Rollback,
-    Select,
-    Union,
-)
+from repro.core.expressions import Const, Expression, Rollback
 from repro.core.txn import NOW, Numeral, TransactionNumber, is_now
 
 __all__ = ["as_of", "View"]
@@ -47,31 +36,10 @@ def as_of(expression: Expression, txn: TransactionNumber) -> Expression:
                 f"{expression.numeral} explicitly"
             )
         return expression
-    if isinstance(expression, Union):
-        return Union(
-            as_of(expression.left, txn), as_of(expression.right, txn)
-        )
-    if isinstance(expression, Difference):
-        return Difference(
-            as_of(expression.left, txn), as_of(expression.right, txn)
-        )
-    if isinstance(expression, Product):
-        return Product(
-            as_of(expression.left, txn), as_of(expression.right, txn)
-        )
-    if isinstance(expression, Project):
-        return Project(as_of(expression.operand, txn), expression.names)
-    if isinstance(expression, Select):
-        return Select(
-            as_of(expression.operand, txn), expression.predicate
-        )
-    if isinstance(expression, Rename):
-        return Rename(as_of(expression.operand, txn), expression.mapping)
-    if isinstance(expression, Derive):
-        return Derive(
-            as_of(expression.operand, txn),
-            expression.predicate,
-            expression.expression,
+    children = expression.children()
+    if children:
+        return expression.with_children(
+            [as_of(child, txn) for child in children]
         )
     raise ExpressionError(
         f"cannot pin expression {expression!r} to a transaction"

@@ -18,18 +18,18 @@ from repro.core.relation import RelationType
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count every visit of the read-identifier walk (it recurses
-    through the module global, so each expression node counts once)."""
+    """Count every node the read-identifier walk visits (it walks
+    ``subtrees`` through the module global, so each distinct expression
+    node counts once per walk)."""
     calls = []
-    original = transactions_module._read_identifiers_of_expression
+    original = transactions_module.subtrees
 
     def counting(expression):
-        calls.append(expression)
-        return original(expression)
+        for node in original(expression):
+            calls.append(node)
+            yield node
 
-    monkeypatch.setattr(
-        transactions_module, "_read_identifiers_of_expression", counting
-    )
+    monkeypatch.setattr(transactions_module, "subtrees", counting)
     return calls
 
 
@@ -98,3 +98,18 @@ def test_sets_cover_reads_sequences_and_defines(make_state):
     )
     assert transaction.read_set == frozenset({"A", "B"})
     assert transaction.write_set == frozenset({"A", "C"})
+
+
+def test_read_set_of_a_dag_walks_each_distinct_subtree_once(
+    make_state, walks
+):
+    # 2**40 tree positions over 41 distinct subtrees: a walk that
+    # revisits shared subtrees would not finish
+    expression = Union(Rollback("A"), Const(make_state("x")))
+    for _ in range(40):
+        expression = Union(expression, expression)
+    transaction = _ssi_with(make_state, ["A"]).begin()
+    del walks[:]
+    transaction.stage(ModifyState("A", expression))
+    assert transaction.read_set == frozenset({"A"})
+    assert len(walks) == 43

@@ -18,6 +18,7 @@ from repro.core.compile import CompiledPlan, compile_expression
 from repro.core.database import EMPTY_DATABASE
 from repro.core.expressions import (
     Const,
+    Derive,
     Difference,
     Product,
     Project,
@@ -30,6 +31,10 @@ from repro.core.expressions import (
 )
 from repro.core.sentences import run
 from repro.core.txn import NOW
+from repro.errors import ExpressionError
+from repro.historical.predicates import ValidAt
+from repro.historical.state import HistoricalState
+from repro.historical.temporal_exprs import ValidTime
 from repro.snapshot.attributes import INTEGER, Attribute
 from repro.snapshot.predicates import Comparison, attr, lit
 from repro.snapshot.schema import Schema
@@ -44,6 +49,9 @@ def kv(*rows):
     return SnapshotState(KV, [list(r) for r in rows])
 
 
+HISTORY = HistoricalState.from_rows(KV, [([1, 2], [(0, 9)])])
+
+
 @pytest.fixture
 def db():
     return run(
@@ -52,6 +60,8 @@ def db():
             ModifyState("r", Const(kv((1, 10), (2, 20), (3, 30)))),
             ModifyState("r", Const(kv((1, 11), (4, 40)))),
             DefineRelation("empty", "rollback"),
+            DefineRelation("t", "temporal"),
+            ModifyState("t", Const(HISTORY)),
         ]
     )
 
@@ -81,9 +91,19 @@ class TestEquivalence:
         assert is_empty_set(evaluate(query, db))
 
     def test_historical_rollback(self, db):
-        # rollback to a historical transaction number, compiled
-        query = Union(Rollback("r", 2), Rollback("r", NOW))
-        assert compile_expression(query)(db) == evaluate(query, db)
+        # rollback to a historical transaction number, compiled; then
+        # δ over a shared ∪ of an historical state, and a past state
+        # producted with its own renaming
+        shared = Union(Rollback("t", NOW), Rollback("t", NOW))
+        for query in (
+            Union(Rollback("r", 2), Rollback("r", NOW)),
+            Derive(shared, predicate=ValidAt(ValidTime(), 3)),
+            Product(
+                Rollback("r", 2),
+                Rename(Rollback("r", 2), {"k": "k2", "v": "v2"}),
+            ),
+        ):
+            assert compile_expression(query)(db) == evaluate(query, db)
 
     @settings(max_examples=30, deadline=None)
     @given(kv_states(), kv_states())
@@ -106,6 +126,30 @@ class TestEquivalence:
         assert compile_expression(query)(database) == evaluate(
             query, database
         )
+
+
+SNAPSHOT = Const(kv((1, 2)))
+HISTORICAL = Const(HISTORY)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        Derive(SNAPSHOT),
+        Union(SNAPSHOT, HISTORICAL),
+        Difference(SNAPSHOT, HISTORICAL),
+        Product(SNAPSHOT, HISTORICAL),
+    ],
+    ids=["derive", "union", "difference", "product"],
+)
+def test_errors_match_the_oracle(query):
+    """A compiled plan refuses what the oracle refuses, with the same
+    exception type and text."""
+    with pytest.raises(ExpressionError) as oracle:
+        evaluate(query, EMPTY_DATABASE)
+    with pytest.raises(type(oracle.value)) as compiled:
+        compile_expression(query)(EMPTY_DATABASE)
+    assert str(compiled.value) == str(oracle.value)
 
 
 class TestPlanShape:

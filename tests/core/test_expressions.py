@@ -1,6 +1,9 @@
 """Tests for the semantic function E: every expression form, the rollback
 operator ρ/ρ̂, the untyped ∅, and side-effect freedom (claim C1)."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,6 +26,7 @@ from repro.core.expressions import (
     Union,
     evaluate,
     is_empty_set,
+    subtrees,
 )
 from repro.core.sentences import run
 from repro.core.txn import NOW
@@ -277,3 +281,75 @@ class TestStructuralEquality:
 
         with pytest.raises(RollbackError):
             Rollback("r", -1)
+
+
+#: One node of each composite type, each with a non-child field set.
+COMPOSITES = [
+    Union(const((1, 1)), Rollback("r", 3)),
+    Difference(const((1, 1)), Rollback("r", 3)),
+    Product(const((1, 1)), Rollback("s", 3)),
+    Project(Rollback("r"), ["k"]),
+    Select(Rollback("r"), Comparison(attr("k"), "=", lit(1))),
+    Rename(Rollback("r"), {"k": "k2"}),
+    Derive(Rollback("t"), ValidAt(ValidTime(), 3), ValidTime()),
+]
+_CHILD_AND_HASH_SLOTS = {"left", "right", "operand", "_hash"}
+
+
+class TestShape:
+    @pytest.mark.parametrize(
+        "node", COMPOSITES, ids=lambda node: type(node).__name__
+    )
+    def test_with_own_children_is_equal(self, node):
+        rebuilt = node.with_children(node.children())
+        assert type(rebuilt) is type(node)
+        assert rebuilt == node and hash(rebuilt) == hash(node)
+
+    @pytest.mark.parametrize(
+        "node", COMPOSITES, ids=lambda node: type(node).__name__
+    )
+    def test_new_children_keep_the_other_fields(self, node):
+        children = tuple(
+            Rollback(f"x{index}", 7) for index in range(len(node.children()))
+        )
+        rebuilt = node.with_children(children)
+        assert type(rebuilt) is type(node)
+        assert rebuilt.children() == children
+        # names, predicate, mapping, δ's predicate and expression
+        fields = [
+            name
+            for name in type(node).__slots__
+            if name not in _CHILD_AND_HASH_SLOTS
+        ]
+        for name in fields:
+            assert getattr(rebuilt, name) == getattr(node, name)
+
+    def test_leaves_rebuild_to_themselves(self):
+        for leaf in (const((1, 1)), Rollback("r", 3)):
+            assert leaf.with_children(()) is leaf
+
+    def test_subtrees_of_a_dag_once_children_first(self):
+        from benchmarks.bench_e2_expression_eval import random_expression
+        from repro.core.compile import compile_expression
+
+        # the E2/E16 CSE workload: a random tree doubled eight times
+        expression = random_expression(3, random.Random(5))
+        for _ in range(8):
+            expression = Union(expression, expression)
+        assert compile_expression(expression).node_count == 1279
+        order = list(subtrees(expression))
+        assert len(order) == len(set(order)) == 12
+        assert order[-1] == expression
+        for index, node in enumerate(order):
+            assert all(child in order[:index] for child in node.children())
+
+    def test_subtrees_of_a_chain_deeper_than_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 1000
+        expression = Rollback("r")
+        for index in range(depth):
+            expression = Select(
+                expression, Comparison(attr("k"), ">=", lit(-index))
+            )
+        order = list(subtrees(expression))
+        assert len(order) == depth + 1
+        assert order[0] == Rollback("r") and order[-1] is expression

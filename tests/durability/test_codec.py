@@ -79,20 +79,37 @@ class TestRoundTrip:
         decoded = [roundtrip(command) for command in workload]
         assert oracle_history(decoded)[-1] == oracle[-1]
 
-    def test_strict_and_memoize_flags_survive(self):
+    def test_strict_flag_survives(self):
         define = DefineRelation("r", "rollback", strict=True)
         assert roundtrip(define).strict is True
         modify = parse_command(
             "modify_state(r, rollback(r, now))"
         )
-        flagged = ModifyState(
-            modify.identifier,
-            modify.expression,
-            strict=True,
-            memoize=True,
+        flagged = ModifyState(modify.identifier, modify.expression, strict=True)
+        assert roundtrip(flagged).strict is True
+
+    @pytest.mark.parametrize("flag", [b"true", b"false"])
+    def test_legacy_memoize_key_is_ignored(self, flag):
+        """Records written while ``modify_state`` carried a ``memoize``
+        flag still decode, and replay to the database the key-less
+        record builds; re-encoding drops the key."""
+        keyless = (
+            b'{"cmd":{"expr":"(rollback(r, now) union state (k: integer)'
+            b' { (2) })","id":"r","op":"modify","strict":false},"txn":3}'
         )
-        back = roundtrip(flagged)
-        assert back.strict is True and back.memoize is True
+        legacy = keyless.replace(b'"op"', b'"memoize":' + flag + b',"op"')
+        command, txn = decode_record(legacy)
+        assert encode_record(command, txn) == keyless
+        start = execute(
+            parse_command("modify_state(r, state (k: integer) { (1) })"),
+            execute(
+                parse_command("define_relation(r, rollback)"),
+                EMPTY_DATABASE,
+            ),
+        )
+        replayed = execute(command, start)
+        assert replayed == execute(decode_record(keyless)[0], start)
+        assert replayed.transaction_number == txn
 
     def test_sequence_flattens_in_execution_order(self):
         first = parse_command("define_relation(r, rollback)")

@@ -17,7 +17,6 @@ from repro.core.expressions import (
     Rollback,
     Select,
     Union,
-    evaluate_memoized,
 )
 from repro.core.sentences import run
 from repro.core.txn import NOW
@@ -72,21 +71,6 @@ class TestExpressionMetrics:
         assert (
             metrics.snapshot()["counters"]["expr.rollback_evaluations"] == 2
         )
-
-    def test_memoization_hit_rate(self, metrics):
-        database = _database()
-        source = Rollback("r", NOW)
-        expression = Difference(
-            source, Select(source, Comparison(attr("k"), "=", lit(1)))
-        )
-        metrics.reset()
-        result = evaluate_memoized(expression, database)
-        counters = metrics.snapshot()["counters"]
-        # the second ρ occurrence is served from the memo cache
-        assert counters["expr.memo_hits"] == 1
-        # Difference, first ρ, Select — each computed once
-        assert counters["expr.memo_misses"] == 3
-        assert result == expression.evaluate(database)
 
     def test_disabled_emits_nothing(self):
         from repro.obsv import registry as obsv_registry

@@ -46,6 +46,16 @@ class TestShardsOf:
         assert router.shards_of(Const(SOME_STATE)) == frozenset()
         assert router.fanout(Const(SOME_STATE)) == 1
 
+    def test_dag_walks_each_distinct_subtree_once(self):
+        # 2**40 tree positions over 41 distinct subtrees: a walk that
+        # revisits shared subtrees would not finish
+        expression = Union(Rollback("a", NOW), Rollback("b", 2))
+        for _ in range(40):
+            expression = Union(expression, expression)
+        router = make_router()
+        assert router.shards_of(expression) == {0, 1}
+        assert not router.is_local(expression, 0)
+
     def test_single_leaf(self):
         router = make_router()
         assert router.shards_of(Rollback("a", NOW)) == {0}

@@ -1,7 +1,7 @@
 """Regression tests: ``VersionedDatabase.execute`` must honor the
-``strict`` and ``memoize`` flags of ``DefineRelation``/``ModifyState``.
+``strict`` flag of ``DefineRelation``/``ModifyState``.
 
-Pre-fix, the backend execution path silently dropped both flags — the
+Pre-fix, the backend execution path silently dropped the flag — the
 exact class of silent physical/logical drift the paper's Section 5
 observation-equivalence criterion is supposed to rule out.  Every test
 here fails against the pre-fix code.
@@ -13,12 +13,8 @@ import pytest
 
 from repro.errors import CommandError
 from repro.core.commands import DefineRelation, ModifyState
-from repro.core.expressions import Const, Difference, Rollback, Select
-from repro.core.txn import NOW
-from repro.obsv import registry as obsv_registry
-from repro.obsv.registry import MetricsRegistry
+from repro.core.expressions import Const
 from repro.snapshot.attributes import INTEGER, Attribute
-from repro.snapshot.predicates import Comparison, attr, lit
 from repro.snapshot.schema import Schema
 from repro.snapshot.state import SnapshotState
 from repro.storage import (
@@ -92,38 +88,3 @@ class TestStrict:
         with pytest.raises(CommandError):
             vdb.execute(command)
 
-
-class TestMemoize:
-    def _shared_subtree_command(self, memoize: bool) -> ModifyState:
-        source = Rollback("r", NOW)
-        return ModifyState(
-            "r",
-            Difference(
-                source,
-                Select(source, Comparison(attr("k"), "=", lit(1))),
-            ),
-            memoize=memoize,
-        )
-
-    def test_memoize_uses_memoized_evaluator(self, vdb):
-        vdb.execute(DefineRelation("r", "rollback"))
-        vdb.execute(ModifyState("r", Const(kv((1, 1), (2, 2)))))
-        registry = obsv_registry.enable(MetricsRegistry())
-        try:
-            vdb.execute(self._shared_subtree_command(memoize=True))
-            counters = registry.snapshot()["counters"]
-            # the repeated ρ(r, now) subtree was served from the cache —
-            # impossible if the memoize flag were dropped
-            assert counters.get("expr.memo_hits", 0) >= 1
-        finally:
-            obsv_registry.disable()
-
-    def test_memoized_result_matches_plain(self):
-        results = []
-        for memoize in (False, True):
-            vdb = VersionedDatabase(FullCopyBackend())
-            vdb.execute(DefineRelation("r", "rollback"))
-            vdb.execute(ModifyState("r", Const(kv((1, 1), (2, 2)))))
-            vdb.execute(self._shared_subtree_command(memoize))
-            results.append(vdb.current("r"))
-        assert results[0] == results[1] == kv((2, 2))
